@@ -37,7 +37,7 @@ from .errors import (
     WrongBranch,
 )
 
-_FLOAT_FMT = "{:.16e}"
+_FLOAT_FMT = "%.16e"
 
 _HANDLED_ERRORS = (
     DomainError,
@@ -62,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(float(value))
+    return _FLOAT_FMT % float(value)
 
 
 def _write_output(path: str | None, text: str) -> None:
@@ -74,10 +74,11 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _render_csv(comments, columns, rows, footer_comments=()) -> str:
+    """``rows`` is an iterable of rows, each a sequence of Python floats."""
+    line_fmt = ",".join([_FLOAT_FMT] * len(columns))
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(line_fmt % tuple(row) for row in rows)
     lines.extend(f"# {c}" for c in footer_comments)
     return "\n".join(lines) + "\n"
 
@@ -208,8 +209,8 @@ def _cmd_correlation(args) -> int:
     temp = units.to_si(args.temp, "temperature")
     if args.points < 2:
         raise DomainError("points must be >= 2")
-    if not args.xi_max > 0.0:
-        raise DomainError("xi-max must be > 0")
+    if not (math.isfinite(args.xi_max) and args.xi_max > 0.0):
+        raise DomainError("xi-max must be finite and > 0")
     lambda_c = corr.correlation_length(mass, temp)
     spectrum = corr.gaussian_mode_spectrum(lambda_c)
     xi = np.linspace(0.0, args.xi_max * lambda_c, args.points)
@@ -250,7 +251,7 @@ def _cmd_sample(args) -> int:
     if not args.no_field:
         comments = [f"{key} = {value}" for key, value in config.as_dict().items()]
         columns = [f"x{i}" for i in range(config.grid_points)]
-        text = _render_csv(comments, columns, field.values)
+        text = _render_csv(comments, columns, (row.tolist() for row in field.values))
         with open(args.field_out, "w") as fh:
             fh.write(text)
     summary = "pass" if report["pass"] else "FAIL"
@@ -278,8 +279,6 @@ def _cmd_qpot(args) -> int:
         density = dataclasses.replace(density, spacing=density.spacing * length_scale)
 
     if density.time_axis:
-        t_origin = units.to_si(parsed.origin[0], "time")
-        q_origin = units.to_si(parsed.origin[1], "length")
         if args.dt is not None:
             dt = units.to_si(args.dt, "time")
         elif parsed.dt is not None:
@@ -289,46 +288,19 @@ def _cmd_qpot(args) -> int:
         vqu = qp.vqu_grid_dalembert(density, mass, dt)
         mean = qp.mean_qp_energy_dalembert(density, mass, dt)
         columns = ("t", "q", "vqu")
-        rows = []
-        n_t, n_q = vqu.shape
-        for i in range(n_t):
-            for j in range(n_q):
-                v = vqu[i, j]
-                if math.isfinite(v):
-                    rows.append(
-                        (
-                            units.from_si(t_origin + i * dt, "time"),
-                            units.from_si(q_origin + j * density.spacing, "length"),
-                            units.from_si(float(v), "energy"),
-                        )
-                    )
+        axes = (("time", dt), ("length", density.spacing))
     else:
-        origin = tuple(units.to_si(o, "length") for o in parsed.origin)
         vqu = qp.vqu_grid_nonrel(density, mass)
         mean = qp.mean_qp_energy(density, mass)
-        if density.dims == 1:
-            columns = ("q", "vqu")
-            rows = [
-                (
-                    units.from_si(origin[0] + j * density.spacing, "length"),
-                    units.from_si(float(v), "energy"),
-                )
-                for j, v in enumerate(vqu)
-                if math.isfinite(v)
-            ]
-        else:
-            columns = ("qx", "qy", "qz", "vqu")
-            rows = []
-            for idx in np.ndindex(vqu.shape):
-                v = vqu[idx]
-                if math.isfinite(v):
-                    rows.append(
-                        tuple(
-                            units.from_si(origin[ax] + idx[ax] * density.spacing, "length")
-                            for ax in range(3)
-                        )
-                        + (units.from_si(float(v), "energy"),)
-                    )
+        columns = ("q", "vqu") if density.dims == 1 else ("qx", "qy", "qz", "vqu")
+        axes = (("length", density.spacing),) * density.dims
+    keep = np.isfinite(vqu)
+    coords = (units.to_si(origin, dim) + np.arange(n) * step
+              for origin, (dim, step), n in zip(parsed.origin, axes, vqu.shape))
+    grids = np.meshgrid(*coords, indexing="ij")
+    values = [units.from_si(grid[keep], dim) for grid, (dim, _) in zip(grids, axes)]
+    values.append(units.from_si(vqu[keep], "energy"))
+    rows = (row.tolist() for row in np.column_stack(values))
     mean_out = units.from_si(mean, "energy")
     meta = {"mass": args.mass, "units": args.units, "periodic": density.periodic}
     _emit_table(args, "qpot", meta, columns, rows,
@@ -357,9 +329,15 @@ def _cmd_blackhole(args) -> int:
                 f"  kg:        {_fmt(threshold.kg)}\n",
             )
         return 0
-    if not args.mass > 0.0:
-        raise DomainError("mass must be > 0 (in Planck-mass units)")
-    report = bh.black_hole_report(args.mass * CONSTANTS.planck_mass)
+    if not (math.isfinite(args.mass) and args.mass > 0.0):
+        raise DomainError("mass must be finite and > 0 (in Planck-mass units)")
+    try:
+        report = bh.black_hole_report(args.mass * CONSTANTS.planck_mass)
+    except (OverflowError, ZeroDivisionError):
+        # vqu_printed scales as mass**-3 and leaves the double range first
+        raise DomainError(
+            f"mass {args.mass!r} m_p is outside the range the report's energies can represent"
+        ) from None
     doc = report.as_dict()
     doc["gravitational_radius"] = units.from_si(doc["gravitational_radius"], "length")
     for key in ("vqu_printed", "vqu_geometric", "e_grav", "e_binding"):

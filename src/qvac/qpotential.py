@@ -166,8 +166,8 @@ def vqu_grid_nonrel(density: GridDensity, mass: float) -> np.ndarray:
     NaN).  Raises SingularDensity if the density at an evaluation point is
     below ``SINGULAR_FRACTION`` of the grid maximum.
     """
-    if not mass > 0.0:
-        raise DomainError("mass must be > 0")
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise DomainError("mass must be finite and > 0")
     if density.time_axis:
         raise DomainError("density has a time axis; use vqu_grid_dalembert")
     s = np.sqrt(density.values)
@@ -191,14 +191,14 @@ def vqu_grid_dalembert(density: GridDensity, mass: float, dt: float) -> np.ndarr
     step ``dt``.  Only interior time slices are evaluated (NaN elsewhere,
     as for spatial boundaries of non-periodic grids).
     """
-    if not mass > 0.0:
-        raise DomainError("mass must be > 0")
+    if not (math.isfinite(mass) and mass > 0.0):
+        raise DomainError("mass must be finite and > 0")
     if not density.time_axis:
         raise DomainError("density lacks a time axis; use vqu_grid_nonrel")
     if density.values.shape[0] < 3:
         raise DomainError("need at least 3 time slices")
-    if not dt > 0.0:
-        raise DomainError("dt must be > 0")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise DomainError("dt must be finite and > 0")
     s = np.sqrt(density.values)
     d2t = _second_difference(s, dt, 0, periodic=False)
     lap = np.zeros_like(s)
@@ -285,12 +285,15 @@ class ParsedDensity(NamedTuple):
 _HEADERS_1D = ("q", "n")
 _HEADERS_1D_TIME = ("t", "q", "n")
 _HEADERS_3D = ("qx", "qy", "qz", "n")
+_HEADERS = (_HEADERS_1D, _HEADERS_1D_TIME, _HEADERS_3D)
 
 #: Relative tolerance for the uniform-spacing check of ingested grids.
 SPACING_RTOL = 1e-9
 
 
 def _uniform_step(coords: np.ndarray, label: str) -> float:
+    if not np.all(np.isfinite(coords)):
+        raise DomainError(f"column {label!r} must hold finite coordinates")
     diffs = np.diff(coords)
     if diffs.size == 0:
         raise DomainError(f"column {label!r} needs at least 2 distinct values")
@@ -302,17 +305,13 @@ def _uniform_step(coords: np.ndarray, label: str) -> float:
     return step
 
 
-def read_density_csv(path: str) -> ParsedDensity:
-    """Read a density grid from CSV.
+def _read_rows(path: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and data table of a density CSV, read with the ``csv`` module
+    and ``float()``.
 
-    Recognized layouts (header row required):
-      * ``q,n``          1-D grid
-      * ``t,q,n``        1-D grid with a leading time axis (rows t-major)
-      * ``qx,qy,qz,n``   3-D row-major lattice (qz fastest)
-
-    Returns a ParsedDensity carrying the grid, the time step (``t,q,n``
-    layout only) and the first coordinate per axis.  Grids are returned
-    non-periodic; callers may flip the flag via ``dataclasses.replace``.
+    This is the reference reader: it skips ``#`` comment lines and blank
+    rows, accepts quoted cells and every literal ``float()`` accepts, and
+    words the row-numbered errors for malformed files.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
@@ -329,7 +328,50 @@ def read_density_csv(path: str) -> ParsedDensity:
             raise DomainError(f"{path}: malformed row {lineno}: {','.join(row)!r}") from None
     if not data:
         raise DomainError(f"{path}: no data rows")
-    table = np.asarray(data, dtype=float)
+    return header, np.asarray(data, dtype=float)
+
+
+def _read_table(path: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """Header and data table of a density CSV.
+
+    A file whose first line is a recognized header and whose body numpy's
+    C reader parses into as many columns is read by that reader, which
+    yields the same doubles as ``float()``.  Every other file (comments,
+    quoted cells, literals only ``float()`` accepts, malformed rows) goes
+    to ``_read_rows``, which also reports the errors.
+    """
+    with open(path, newline="") as fh:
+        header = tuple(c.strip() for c in fh.readline().split(","))
+        if header in _HEADERS:
+            body = fh.tell()
+            # An empty body would make loadtxt warn instead of raise.
+            if fh.readline().strip():
+                fh.seek(body)
+                try:
+                    table = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
+                except ValueError:
+                    pass
+                else:
+                    if table.shape[1] == len(header):
+                        return header, table
+    return _read_rows(path)
+
+
+def read_density_csv(path: str) -> ParsedDensity:
+    """Read a density grid from CSV.
+
+    Recognized layouts (header row required):
+      * ``q,n``          1-D grid
+      * ``t,q,n``        1-D grid with a leading time axis (rows t-major)
+      * ``qx,qy,qz,n``   3-D row-major lattice (qz fastest)
+
+    ``#`` lines are full-line comments, cells may be quoted, and numbers
+    are read to the exact double ``float()`` gives.  Returns a
+    ParsedDensity carrying the grid, the time step (``t,q,n`` layout only)
+    and the first coordinate per axis.  Grids are returned non-periodic;
+    callers may flip the flag via ``dataclasses.replace``.
+    """
+    header, table = _read_table(path)
 
     if header == _HEADERS_1D:
         spacing = _uniform_step(table[:, 0], "q")

@@ -42,7 +42,7 @@ from qvac import (
 )
 from qvac.blackhole import bh_vqu_geometric, bh_vqu_printed
 
-from conftest import cos2_density, offnode_mask
+from helpers import cos2_density, offnode_mask
 
 HBAR = CONSTANTS.hbar
 C = CONSTANTS.c

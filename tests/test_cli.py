@@ -183,6 +183,14 @@ class TestCorrelation:
         assert code == 2
         assert "mass" in err
 
+    def test_infinite_xi_max_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "correlation", "--mass", repr(ELECTRON_MASS), "--temp", "300", "--xi-max", "inf"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: xi-max must be finite and > 0\n"
+
     def test_json_document(self, capsys):
         code, out, _ = run_cli(
             capsys, "correlation", "--mass", repr(ELECTRON_MASS), "--temp", "300",
@@ -293,6 +301,23 @@ class TestQpot:
         doc = json.loads(out)
         assert doc["footer"]["mean_qp_energy"] == 0.0
 
+    @pytest.mark.parametrize("mass", ["inf", "nan"])
+    def test_non_finite_mass_exits_two(self, tmp_path, capsys, mass):
+        path = self._write(tmp_path, "c.csv", ["q,n"] + [f"{0.1 * i},1.0" for i in range(16)])
+        code, out, err = run_cli(capsys, "qpot", path, "--mass", mass)
+        assert code == 2
+        assert out == ""
+        assert err == "error: mass must be finite and > 0\n"
+
+    @pytest.mark.parametrize("dt", ["inf", "nan"])
+    def test_non_finite_dt_exits_two(self, tmp_path, capsys, dt):
+        lines = ["t,q,n"] + [f"{0.5 * t},{0.1 * i},1.0" for t in range(3) for i in range(16)]
+        path = self._write(tmp_path, "st.csv", lines)
+        code, out, err = run_cli(capsys, "qpot", path, "--mass", "1", "--dt", dt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: dt must be finite and > 0\n"
+
     def test_3d_file(self, tmp_path, capsys):
         n = 8
         lines = ["qx,qy,qz,n"]
@@ -335,6 +360,18 @@ class TestBlackhole:
         assert code == 0
         assert "stable:               true" in out
         assert "m_p" in out
+
+    @pytest.mark.parametrize("mass, reason", [
+        ("inf", "finite"),
+        ("1e300", "outside the range"),  # vqu_printed underflows to 0
+        ("1e-300", "outside the range"),  # vqu_printed overflows
+    ])
+    def test_unrepresentable_mass_exits_two(self, capsys, mass, reason):
+        code, out, err = run_cli(capsys, "blackhole", mass)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: mass") and reason in err
+        assert "Traceback" not in err
 
     def test_requires_mass_or_threshold(self, capsys):
         code, _, err = run_cli(capsys, "blackhole")

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from qvac import qpotential as qp
 from qvac import (
     CONSTANTS,
     ELECTRON_MASS,
@@ -19,7 +21,9 @@ from qvac import (
     vqu_traveling,
 )
 
-from conftest import NATURAL, cos2_density, offnode_mask
+from qvac.cli import main
+
+from helpers import NATURAL, cos2_density, offnode_mask
 
 HBAR = CONSTANTS.hbar
 C = CONSTANTS.c
@@ -343,3 +347,111 @@ class TestCsvIngestion:
     def test_unknown_header_rejected(self, tmp_path):
         with pytest.raises(DomainError, match="header"):
             read_density_csv(self._write(tmp_path, "u.csv", "a,b\n1,2\n"))
+
+
+def _density_text(rows, header="q,n", eol="\n"):
+    return eol.join([header] + [",".join(row) for row in rows]) + eol
+
+
+def _edit(rows, index, *cells):
+    rows = [list(r) for r in rows]
+    rows[index] = list(cells)
+    return rows
+
+
+def _random_doubles_rows(points=2000):
+    # Random significand bits; binary exponents within [-15, 15] keep the
+    # density free of singular points.
+    rng = np.random.default_rng(20260)
+    mantissa = rng.integers(0, 2**52, size=points, dtype=np.uint64)
+    exponent = rng.integers(1023 - 15, 1023 + 16, size=points).astype(np.uint64)
+    values = ((exponent << np.uint64(52)) | mantissa).view(np.float64)
+    return [[repr(0.5 + 0.25 * i), repr(float(v))] for i, v in enumerate(values)]
+
+
+_PLAIN = [[repr(0.1 * i), repr(1.0 + 0.25 * math.cos(0.5 * i))] for i in range(12)]
+_TIME_ROWS = [[repr(0.5 * t), repr(0.1 * i), repr(1.0 + 0.01 * (t + i))] for t in range(3) for i in range(10)]
+
+#: name -> (file text, whether the numpy reader should take the file)
+INGEST_CASES = {
+    "plain": (_density_text(_PLAIN), True),
+    "time_layout": (_density_text(_TIME_ROWS, header="t,q,n"), True),
+    "random_doubles": (_density_text(_random_doubles_rows()), True),
+    "extreme_doubles": (_density_text(
+        [[repr(0.1 * i), v] for i, v in enumerate(
+            ["5e-324", "2.2250738585072014e-308", "1.7976931348623157e+308", "0.0", "-0.0", "1e-320",
+             "4.9406564584124654e-324", "1E+300", ".5", "5.", "+3", "1.0000000000000002"])]
+    ), True),
+    "leading_comments": ("# generated density\n#\n" + _density_text(_PLAIN), False),
+    "interleaved_comments": (_density_text(_edit(_PLAIN, 4, "  # a note") + [["# end"]]), False),
+    "blank_lines": (_density_text(_PLAIN[:5] + [[""], [""]] + _PLAIN[5:] + [[""]]), True),
+    "blank_line_after_header": (_density_text([[""]] + _PLAIN), False),
+    "whitespace_only_line": (_density_text(_PLAIN[:5] + [["   "]] + _PLAIN[5:]), False),
+    "crlf": (_density_text(_PLAIN, eol="\r\n"), True),
+    "quoted_cells": (_density_text(_edit(_PLAIN, 3, '"0.30000000000000004"', '"1.0"')), False),
+    "quoted_header": (_density_text(_PLAIN, header='"q","n"'), False),
+    "padded_cells": (_density_text([[f" {q}\t", f"  {n} "] for q, n in _PLAIN], header=" q , n "), True),
+    "underscore_literal": (_density_text(_edit(_PLAIN, 2, "0.2", "1_000e-3")), False),
+    "fullwidth_digits": (_density_text(_edit(_PLAIN, 2, "0.2", "１.０")), False),
+    "nan_cell": (_density_text(_edit(_PLAIN, 6, "0.6000000000000001", "nan")), True),
+    "inf_cell": (_density_text(_edit(_PLAIN, 6, "0.6000000000000001", "inf")), True),
+    "inf_coordinate": (_density_text(_edit(_PLAIN, 6, "-Infinity", "1.0")), True),
+    "header_only": ("q,n\n", False),
+    "header_only_blank_body": ("q,n\n\n\n", False),
+    "ragged_row": (_density_text(_edit(_PLAIN, 6, "0.6000000000000001", "1.0", "2.0")), False),
+    "short_row": (_density_text(_edit(_PLAIN, 9, "0.9")), False),
+    "extra_column_everywhere": (_density_text([row + ["0"] for row in _PLAIN]), False),
+    "bad_literal": (_density_text(_edit(_PLAIN, 5, "0.5", "not-a-number")), False),
+}
+
+
+class TestIngestPaths:
+    """The numpy reader and the csv-module reference reader agree on every
+    input: same doubles, spacing and origin, or the same error text."""
+
+    @staticmethod
+    def _outcome(path):
+        try:
+            parsed = read_density_csv(path)
+        except DomainError as exc:
+            return str(exc)
+        values = parsed.density.values
+        dt = None if parsed.dt is None else parsed.dt.hex()
+        return values.shape, values.tobytes(), parsed.density.spacing.hex(), [o.hex() for o in parsed.origin], dt
+
+    @pytest.mark.parametrize("name", sorted(INGEST_CASES))
+    def test_fast_path_matches_reference(self, name, tmp_path, monkeypatch):
+        text, fast = INGEST_CASES[name]
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode())
+        reference_calls = []
+        read_rows = qp._read_rows
+
+        def reference(p):
+            reference_calls.append(p)
+            return read_rows(p)
+
+        monkeypatch.setattr(qp, "_read_rows", reference)
+        got = self._outcome(str(path))
+        assert bool(reference_calls) is not fast
+        monkeypatch.setattr(qp, "_read_table", qp._read_rows)
+        assert got == self._outcome(str(path))
+
+    @pytest.mark.parametrize("name", sorted(INGEST_CASES))
+    def test_cli_stderr_holds_only_the_error(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(INGEST_CASES[name][0].encode())
+        outcome = self._outcome(str(path))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["qpot", str(path), "--mass", "1", "--units", "Natural", "--dt", "0.5",
+                         "--output", str(tmp_path / "out.csv")])
+        err = capsys.readouterr().err
+        assert caught == []
+        if isinstance(outcome, str):
+            assert (code, err) == (2, f"error: {outcome}\n")
+        elif code == 0:
+            assert err == ""
+        else:  # the grid reads but the kernel rejects it, e.g. as singular
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
