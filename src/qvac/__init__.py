@@ -62,8 +62,6 @@ from .errors import (
     WrongBranch,
 )
 from .modestats import (
-    Branch,
-    ModeEnergy,
     SpectralPoint,
     mean_energy,
     mode_density,

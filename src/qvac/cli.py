@@ -98,6 +98,14 @@ def _emit_table(args, command, meta, columns, rows, footer=None, footer_comments
         _write_output(args.output, _render_csv(comments, columns, rows, footer_comments))
 
 
+def _finite_rows(columns: dict) -> list:
+    """Rows of Python floats from named 1-D columns; a non-finite value is a DomainError, never a row."""
+    for name, values in columns.items():
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"{name} leaves the double range at these inputs")
+    return np.column_stack(tuple(columns.values())).tolist()
+
+
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -121,24 +129,18 @@ def _cmd_spectrum(args) -> int:
             f"k_max reaches the Compton boundary m*c/hbar = {k_c:.9e} 1/m; "
             f"clamped to 0.999*m*c/hbar"
         )
-    if not 0.0 < k_min <= k_max:
-        raise DomainError("k_min must satisfy 0 < k_min <= k_max (after any clamping)")
-    k_grid = np.geomspace(k_min, k_max, args.points)
-    rows = []
-    for k in k_grid:
-        point = ms.spectral_density_massive(float(k), state)
-        wavelength = 2.0 * math.pi / point.k
-        energy = ms.mode_energy_massive(wavelength, state)
-        rows.append(
-            (
-                units.from_si(point.k, "wavenumber"),
-                units.from_si(wavelength, "length"),
-                units.from_si(energy, "energy"),
-                units.from_si(point.mean_energy, "energy"),
-                units.from_si(point.mode_density, "mode_density"),
-                units.from_si(point.spectral_density, "spectral_density_wavenumber"),
-            )
-        )
+    if not 0.0 < k_min <= k_max < math.inf:
+        raise DomainError("k_min must satisfy 0 < k_min <= k_max < inf (after any clamping)")
+    point = ms.spectral_density_massive(np.geomspace(k_min, k_max, args.points), state)
+    wavelength = 2.0 * math.pi / point.k
+    columns = {
+        "k": units.from_si(point.k, "wavenumber"),
+        "lambda": units.from_si(wavelength, "length"),
+        "mode_energy": units.from_si(ms.mode_energy_massive(wavelength, state), "energy"),
+        "mean_energy": units.from_si(point.mean_energy, "energy"),
+        "mode_density": units.from_si(point.mode_density, "mode_density"),
+        "spectral_density": units.from_si(point.spectral_density, "spectral_density_wavenumber"),
+    }
     meta = {
         "mass": args.mass,
         "temp": args.temp,
@@ -146,9 +148,7 @@ def _cmd_spectrum(args) -> int:
         "units": args.units,
         "compton_wavenumber": units.from_si(k_c, "wavenumber"),
     }
-    _emit_table(args, "spectrum", meta,
-                ("k", "lambda", "mode_energy", "mean_energy", "mode_density", "spectral_density"),
-                rows)
+    _emit_table(args, "spectrum", meta, tuple(columns), _finite_rows(columns))
     return 0
 
 
@@ -158,34 +158,30 @@ def _cmd_spectrum(args) -> int:
 def _cmd_photon_spectrum(args) -> int:
     units = UnitSystem.parse(args.units)
     temp = units.to_si(args.temp, "temperature")
-    if not temp > 0.0:
-        raise DomainError("temp must be > 0")
+    if not (math.isfinite(temp) and temp > 0.0):
+        raise DomainError("temp must be finite and > 0")
     if args.points < 1:
         raise DomainError("points must be >= 1")
     kt_over_hbar = CONSTANTS.k_boltzmann * temp / CONSTANTS.hbar
     omega_min = units.to_si(args.omega_min, "angular_frequency") if args.omega_min is not None else 0.01 * kt_over_hbar
     omega_max = units.to_si(args.omega_max, "angular_frequency") if args.omega_max is not None else 25.0 * kt_over_hbar
-    if not 0.0 < omega_min <= omega_max:
-        raise DomainError("omega bounds must satisfy 0 < omega_min <= omega_max")
+    if not 0.0 < omega_min <= omega_max < math.inf:
+        raise DomainError("omega bounds must satisfy 0 < omega_min <= omega_max < inf")
     omega_grid = np.geomspace(omega_min, omega_max, args.points)
-    rows = []
-    rho = np.empty(args.points)
-    for i, omega in enumerate(omega_grid):
-        mean = ms.photon_mean_energy(float(omega), temp)
-        rho[i] = ms.planck_spectral_density(float(omega), temp)
-        rows.append(
-            (
-                units.from_si(float(omega), "angular_frequency"),
-                units.from_si(mean, "energy"),
-                units.from_si(rho[i], "spectral_density_frequency"),
-            )
-        )
+    rho = ms.planck_spectral_density(omega_grid, temp)
+    columns = {
+        "omega": units.from_si(omega_grid, "angular_frequency"),
+        "mean_energy": units.from_si(ms.photon_mean_energy(omega_grid, temp), "energy"),
+        "spectral_density": units.from_si(rho, "spectral_density_frequency"),
+    }
+    rows = _finite_rows(columns)
     meta = {"temp": args.temp, "units": args.units}
-    footer = None
-    footer_comments = ()
+    footer, footer_comments = None, ()
     if args.points >= 2:
         peak = ms.wien_peak(temp)
         integral = float(np.trapezoid(rho, omega_grid))
+        if not math.isfinite(integral):
+            raise DomainError("integral leaves the double range at these inputs")
         footer = {
             "peak_omega": units.from_si(peak, "angular_frequency"),
             "integral": units.from_si(integral, "energy_density"),
@@ -194,9 +190,8 @@ def _cmd_photon_spectrum(args) -> int:
             f"peak_omega = {_fmt(footer['peak_omega'])}",
             f"integral = {_fmt(footer['integral'])}",
         )
-    _emit_table(args, "photon-spectrum", meta,
-                ("omega", "mean_energy", "spectral_density"),
-                rows, footer=footer, footer_comments=footer_comments)
+    _emit_table(args, "photon-spectrum", meta, tuple(columns), rows,
+                footer=footer, footer_comments=footer_comments)
     return 0
 
 
@@ -216,15 +211,12 @@ def _cmd_correlation(args) -> int:
     xi = np.linspace(0.0, args.xi_max * lambda_c, args.points)
     numeric = corr.correlation_from_spectrum(spectrum, xi)
     analytic = corr.analytic_correlation(xi, lambda_c)
-    rows = [
-        (
-            units.from_si(float(x), "length"),
-            float(gn),
-            float(ga),
-            abs(float(gn) - float(ga)),
-        )
-        for x, gn, ga in zip(xi, numeric.g_values, analytic)
-    ]
+    columns = {
+        "xi": units.from_si(xi, "length"),
+        "G_numeric": numeric.g_values,
+        "G_analytic": analytic,
+        "abs_error": np.abs(numeric.g_values - analytic),
+    }
     meta = {
         "mass": args.mass,
         "temp": args.temp,
@@ -234,8 +226,7 @@ def _cmd_correlation(args) -> int:
         if math.isfinite(numeric.lambda_c)
         else None,
     }
-    _emit_table(args, "correlation", meta,
-                ("xi", "G_numeric", "G_analytic", "abs_error"), rows)
+    _emit_table(args, "correlation", meta, tuple(columns), _finite_rows(columns))
     return 0
 
 

@@ -129,6 +129,9 @@ def _natural_factors(k: PhysicalConstants) -> dict[str, float]:
     }
 
 
+_NATURAL_FACTORS = _natural_factors(CONSTANTS)
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Conversion between SI and natural (hbar = c = k_B = 1, masses in
@@ -141,7 +144,7 @@ class UnitSystem:
         if self.mode is UnitMode.SI:
             return 1.0
         try:
-            return _natural_factors(CONSTANTS)[dimension]
+            return _NATURAL_FACTORS[dimension]
         except KeyError:
             raise DomainError(f"unknown dimension {dimension!r}") from None
 
@@ -177,10 +180,10 @@ class ThermalState:
     def __post_init__(self):
         if self.mass < 0.0 or not math.isfinite(self.mass):
             raise DomainError("mass must be finite and >= 0")
-        if not self.temperature > 0.0:
-            raise DomainError("temperature must be > 0")
-        if self.gamma < 1.0:
-            raise DomainError("gamma must be >= 1")
+        if not (math.isfinite(self.temperature) and CONSTANTS.k_boltzmann * self.temperature > 0.0):
+            raise DomainError("temperature must be finite, with k_B*T > 0")
+        if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise DomainError("gamma must be finite and >= 1")
 
 
 def compton_wavenumber(mass: float) -> float:

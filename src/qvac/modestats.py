@@ -16,13 +16,23 @@ imaginary for any wavelength as m -> 0.
 All exponentials are evaluated through the dimensionless groups
 x = hbar*omega/kT and mu = m*c^2/kT; Boltzmann weights with exponents
 below -700 return exactly 0.0 instead of underflowing noisily.
+
+The massive and photon formulas take a scalar (and return a Python float)
+or an array of any shape (and return an array), with one rounding rule so
+that both give the same bits: arithmetic and sqrt run as numpy ufuncs,
+which are correctly rounded like Python float operations, while exp, expm1
+and powers go element by element through libm (the math module and float
+``**``), because numpy's SIMD versions differ from libm in the last bit
+for a few values in 10^4.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
+
+import numpy as np
 
 from .constants import CONSTANTS, ThermalState
 from .errors import DomainError, ImaginaryEnergy, WrongBranch
@@ -31,62 +41,63 @@ from .numerics import golden_section_max
 #: Boltzmann exponents beyond this magnitude give an exact zero weight.
 EXP_CUTOFF = 700.0
 
-#: hbar*omega/(k_B*T) at the maximum of the photon spectral density,
-#: the root of 3*(1 - exp(-x)) = x.  Located numerically by wien_peak.
-WIEN_X = 2.8214393721220787
-
-
-class Branch(Enum):
-    MASSIVE = "Massive"
-    PHOTON = "Photon"
-
-
-@dataclass(frozen=True)
-class ModeEnergy:
-    """Energy of one fluctuation mode, tagged with its branch."""
-
-    wavelength: float
-    energy: float
-    branch: Branch
-
-    def __post_init__(self):
-        if not (math.isfinite(self.energy) and self.energy >= 0.0):
-            raise DomainError("mode energy must be finite and >= 0")
-
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """One point of a massive-branch spectrum: density of modes, mean
-    thermal energy per mode, and their product (one polarization)."""
+    """Massive-branch spectrum at wavenumber(s) k: density of modes, mean
+    thermal energy per mode, and their product (one polarization).  Each
+    field is a float for a scalar k and an array for an array k."""
 
-    k: float
-    mode_density: float
-    mean_energy: float
-    spectral_density: float
-
-    def __post_init__(self):
-        expected = self.k**2 / (2.0 * math.pi**2)
-        if not math.isclose(self.mode_density, expected, rel_tol=1e-12):
-            raise DomainError("mode_density must equal k^2/(2*pi^2)")
-        prod = self.mode_density * self.mean_energy
-        if not (prod == self.spectral_density or math.isclose(self.spectral_density, prod, rel_tol=1e-12)):
-            raise DomainError("spectral_density must equal mode_density * mean_energy")
+    k: float | np.ndarray
+    mode_density: float | np.ndarray
+    mean_energy: float | np.ndarray
+    spectral_density: float | np.ndarray
 
 
-def _sqrt_factor(wavelength: float, state: ThermalState) -> float:
+def _value(x):
+    """A scalar as a Python float, anything else as a float array."""
+    return float(x) if isinstance(x, (int, float)) or np.ndim(x) == 0 else np.asarray(x, dtype=float)
+
+
+def _all(mask) -> bool:
+    return mask if isinstance(mask, bool) else bool(mask.all())
+
+
+def _libm(fn, x, *args):
+    """``fn(x, *args)`` through libm: directly for a float ``x``, element by
+    element for an array ``x`` (array ``args`` share its shape)."""
+    try:
+        if isinstance(x, float):
+            return fn(x, *args)
+        columns = (a.ravel().tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args)
+        return np.fromiter(map(fn, x.ravel().tolist(), *columns), float, x.size).reshape(x.shape)
+    except OverflowError:
+        raise DomainError(f"{fn.__name__} overflows the double range at these inputs") from None
+
+
+def _bose(e: float, x: float) -> float:
+    """Bose mean energy e/(exp(x) - 1) of one mode at x = e/kT, or e*exp(-x)
+    past EXP_CUTOFF; mapped over arrays by _libm."""
+    if not x > 0.0:
+        raise DomainError("E/(k_B*T) must be > 0; the mode energy underflows at these inputs")
+    return e * math.exp(-x) if x > EXP_CUTOFF else e / math.expm1(x)
+
+
+def _sqrt_factor(wavelength, state: ThermalState):
     """sqrt(1 - (lambda_crit/lambda)^2) with the domain guard."""
     if state.mass == 0.0:
         raise WrongBranch("mass is zero; use the photon operations")
-    if not wavelength > 0.0:
+    wavelength = _value(wavelength)
+    if not _all(wavelength > 0.0):
         raise DomainError("wavelength must be > 0")
     lambda_crit = 2.0 * math.pi * CONSTANTS.hbar / (state.mass * CONSTANTS.c)
     ratio = lambda_crit / wavelength
-    if ratio >= 1.0:
-        raise ImaginaryEnergy(lambda_crit, wavelength)
-    return math.sqrt((1.0 - ratio) * (1.0 + ratio))
+    if not _all(ratio < 1.0):
+        raise ImaginaryEnergy(lambda_crit, np.asarray(wavelength)[np.asarray(ratio) >= 1.0][0])
+    return (math.sqrt if isinstance(ratio, float) else np.sqrt)((1.0 - ratio) * (1.0 + ratio))
 
 
-def mode_energy_massive(wavelength: float, state: ThermalState) -> float:
+def mode_energy_massive(wavelength: float | np.ndarray, state: ThermalState) -> float | np.ndarray:
     """Relativistic mode energy m*gamma*c^2*sqrt(1 - (hbar k/(m c))^2) in J.
 
     Raises ImaginaryEnergy (carrying the critical wavelength
@@ -96,7 +107,7 @@ def mode_energy_massive(wavelength: float, state: ThermalState) -> float:
     return state.mass * state.gamma * CONSTANTS.c**2 * _sqrt_factor(wavelength, state)
 
 
-def _energy_over_kt(wavelength: float, state: ThermalState) -> float:
+def _energy_over_kt(wavelength, state: ThermalState):
     """E(lambda)/(k_B*T) computed in dimensionless groups (no overflow)."""
     mu = state.mass * CONSTANTS.c**2 / (CONSTANTS.k_boltzmann * state.temperature)
     return mu * state.gamma * _sqrt_factor(wavelength, state)
@@ -139,60 +150,57 @@ def n_particle_weight(wavelength: float, n: int, state: ThermalState) -> float:
     return math.exp(-x)
 
 
-def mean_energy(wavelength: float, state: ThermalState) -> float:
+def mean_energy(wavelength: float | np.ndarray, state: ThermalState) -> float | np.ndarray:
     """Bose mean energy E/(exp(E/kT) - 1) of the massive mode, in J.
 
     Summing the geometric occupation series gives exactly this closed
     form; expm1 keeps it accurate in the equipartition limit E << kT.
     """
-    x = _energy_over_kt(wavelength, state)
-    e = mode_energy_massive(wavelength, state)
-    if x > EXP_CUTOFF:
-        return e * math.exp(-x)
-    return e / math.expm1(x)
+    return _libm(_bose, mode_energy_massive(wavelength, state), _energy_over_kt(wavelength, state))
 
 
-def mode_density(k: float) -> float:
+def mode_density(k: float | np.ndarray) -> float | np.ndarray:
     """Independent modes per volume per wavenumber of a scalar field:
     k^2/(2*pi^2)."""
-    if not k > 0.0:
+    k = _value(k)
+    if not _all(k > 0.0):
         raise DomainError("wavenumber must be > 0")
-    return k**2 / (2.0 * math.pi**2)
+    return _libm(math.pow, k, 2.0) / (2.0 * math.pi**2)
 
 
-def spectral_density_massive(k: float, state: ThermalState) -> SpectralPoint:
+def spectral_density_massive(k: float | np.ndarray, state: ThermalState) -> SpectralPoint:
     """Spectral density of massive-field vacuum fluctuations at wavenumber k.
 
     The product mode_density(k) * mean_energy(2*pi/k), with exactly one
     polarization for the scalar density field.
     """
-    wavelength = 2.0 * math.pi / k
+    k = _value(k)
     nk = mode_density(k)
-    me = mean_energy(wavelength, state)
+    me = mean_energy(2.0 * math.pi / k, state)
     return SpectralPoint(k=k, mode_density=nk, mean_energy=me, spectral_density=nk * me)
 
 
-def photon_mean_energy(omega: float, temperature: float) -> float:
+def photon_mean_energy(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
     """Planck mean energy hbar*omega/(exp(hbar*omega/kT) - 1), in J."""
-    if not omega > 0.0:
+    omega = _value(omega)
+    if not _all(omega > 0.0):
         raise DomainError("omega must be > 0")
-    if not temperature > 0.0:
-        raise DomainError("temperature must be > 0")
-    x = CONSTANTS.hbar * omega / (CONSTANTS.k_boltzmann * temperature)
+    if not (math.isfinite(temperature) and CONSTANTS.k_boltzmann * temperature > 0.0):
+        raise DomainError("temperature must be finite, with k_B*T > 0")
     e = CONSTANTS.hbar * omega
-    if x > EXP_CUTOFF:
-        return e * math.exp(-x)
-    return e / math.expm1(x)
+    return _libm(_bose, e, e / (CONSTANTS.k_boltzmann * temperature))
 
 
-def planck_spectral_density(omega: float, temperature: float) -> float:
+def planck_spectral_density(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
     """Black-body energy density per angular frequency, J*s/m^3.
 
     (omega^2/(pi^2 c^3)) * hbar*omega/(exp(hbar*omega/kT) - 1); the factor
     2 for the photon polarizations is already included relative to the
     single-polarization scalar mode density.
     """
-    return (omega**2 / (math.pi**2 * CONSTANTS.c**3)) * photon_mean_energy(omega, temperature)
+    omega = _value(omega)
+    mean = photon_mean_energy(omega, temperature)
+    return (_libm(math.pow, omega, 2.0) / (math.pi**2 * CONSTANTS.c**3)) * mean
 
 
 def wien_peak(temperature: float) -> float:

@@ -334,6 +334,32 @@ class TestQpot:
         assert all(row[3] == 0.0 for row in rows)
 
 
+class TestSpectrumInputGuards:
+    """Non-finite or unrepresentable inputs of the two spectrum commands end
+    in an exit-2 message naming the problem, never a traceback or NaN rows."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (("spectrum", "--gamma", "nan"), "gamma"),
+        (("spectrum", "--gamma", "inf"), "gamma"),
+        (("spectrum", "--temp", "inf"), "temperature"),
+        (("spectrum", "--mass", "1e-300", "--temp", "1e300"), "underflows"),  # E/kT underflows to 0
+        (("photon-spectrum", "--temp", "1e-300"), "underflows"),  # hbar*omega underflows to 0
+        (("photon-spectrum", "--temp", "inf"), "temp"),
+        (("photon-spectrum", "--omega-max", "inf"), "omega"),
+        (("photon-spectrum", "--omega-min", "nan"), "omega"),
+        (("photon-spectrum", "--omega-max", "1e200"), "overflows"),  # omega**2 leaves the double range
+    ])
+    def test_exits_two_without_output(self, capsys, argv, named):
+        defaults = {"spectrum": ["--mass", repr(ELECTRON_MASS), "--temp", "300"],
+                    "photon-spectrum": ["--temp", "300"]}[argv[0]]
+        # a flag given again after the defaults overrides them
+        code, out, err = run_cli(capsys, argv[0], *defaults, *argv[1:], "--points", "8")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err and "Warning" not in err
+
+
 class TestBlackhole:
     def test_threshold(self, capsys):
         code, out, _ = run_cli(capsys, "blackhole", "--threshold", "--format", "json")

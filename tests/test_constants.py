@@ -1,5 +1,7 @@
+import importlib
 import math
 
+import numpy as np
 import pytest
 
 from qvac import (
@@ -77,6 +79,31 @@ def test_thermal_state_validation():
         ThermalState(mass=1.0, temperature=0.0)
     with pytest.raises(DomainError):
         ThermalState(mass=1.0, temperature=1.0, gamma=0.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("temperature", math.inf),
+    ("temperature", math.nan),
+    ("temperature", 1e-310),  # k_B*T underflows to 0
+    ("gamma", math.inf),
+    ("gamma", math.nan),
+])
+def test_thermal_state_rejects_non_finite_fields(field, value):
+    with pytest.raises(DomainError, match=field):
+        ThermalState(**{"mass": 1.0, "temperature": 1.0, field: value})
+
+
+def test_natural_factor_table_is_built_once(monkeypatch):
+    module = importlib.import_module("qvac.constants")  # qvac.constants is the function
+
+    def rebuilt(_):
+        raise AssertionError("natural-unit factors rebuilt on a conversion")
+
+    monkeypatch.setattr(module, "_natural_factors", rebuilt)
+    natural = UnitSystem(UnitMode.NATURAL)
+    l_p = CONSTANTS.planck_length
+    assert natural.from_si(l_p, "length") == 1.0
+    assert natural.from_si(np.array([l_p, 2.0 * l_p]), "length").tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("dimension", sorted(_natural_factors(CONSTANTS)))

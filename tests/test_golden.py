@@ -1,9 +1,10 @@
 """Byte equality of CLI outputs against committed golden files.
 
 The inputs and expected outputs live in ``tests/golden/``.  The outputs
-were captured from the CLI before its renderers and the ``qpot`` ingest
-were rewritten array-first, so any change in a rendered byte (digits,
-row order, NaN filtering, unit conversion) fails here.  To re-capture
+were captured from the CLI before its renderers, the ``qpot`` ingest and
+the spectrum formulas were rewritten array-first, so any change in a
+rendered byte (digits, row order, NaN filtering, unit conversion, the
+last bit of an exponential) fails here.  To re-capture
 after a deliberate format change, run ``python tests/test_golden.py``
 from the repository root with ``src`` on the import path.
 """
@@ -43,6 +44,10 @@ CASES = {
     "spectrum_si.json": ["spectrum", "--mass", ELECTRON, "--temp", "300", "--points", "8",
                          "--format", "json"],
     "photon_si.csv": ["photon-spectrum", "--temp", "300", "--points", "16"],
+    # x = E/kT crosses EXP_CUTOFF: 44..988 with gamma = 2, and up to 764
+    "spectrum_gamma_cutoff.csv": ["spectrum", "--mass", ELECTRON, "--temp", "1.2e7", "--gamma", "2",
+                                  "--points", "24"],
+    "photon_cutoff.csv": ["photon-spectrum", "--temp", "300", "--omega-max", "3e16", "--points", "24"],
     "photon_natural.json": ["photon-spectrum", "--temp", "0.01", "--points", "8", "--units", "Natural",
                             "--format", "json"],
     "correlation_si.csv": ["correlation", "--mass", ELECTRON, "--temp", "300", "--points", "16"],

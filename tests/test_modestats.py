@@ -6,11 +6,8 @@ import pytest
 from qvac import (
     CONSTANTS,
     ELECTRON_MASS,
-    Branch,
     DomainError,
     ImaginaryEnergy,
-    ModeEnergy,
-    SpectralPoint,
     ThermalState,
     WrongBranch,
     mean_energy,
@@ -69,11 +66,6 @@ class TestModeEnergy:
         state = ThermalState(mass=0.0, temperature=300.0)
         with pytest.raises(WrongBranch):
             mode_energy_massive(1e-6, state)
-
-    def test_mode_energy_type_validation(self):
-        ModeEnergy(wavelength=1e-9, energy=1e-13, branch=Branch.MASSIVE)
-        with pytest.raises(DomainError):
-            ModeEnergy(wavelength=1e-9, energy=-1.0, branch=Branch.MASSIVE)
 
 
 class TestModeProbabilityNonrel:
@@ -266,9 +258,13 @@ class TestSpectralDensityMassive:
         assert point.mean_energy / kt == pytest.approx(oracle, rel=1e-12)
         assert point.mean_energy / kt == pytest.approx(1.50143e-3, rel=1e-5)
 
-    def test_spectral_point_validation(self):
-        with pytest.raises(DomainError):
-            SpectralPoint(k=1.0, mode_density=1.0, mean_energy=1.0, spectral_density=1.0)
+    def test_array_point_is_the_exact_product(self):
+        state = state_with_mu(3.0, gamma=1.5)
+        k = np.geomspace(1e-4, 0.999, 257) * ELECTRON_MASS * C / HBAR
+        point = spectral_density_massive(k, state)
+        assert point.k.shape == point.mode_density.shape == point.mean_energy.shape == k.shape
+        assert np.array_equal(point.spectral_density, point.mode_density * point.mean_energy)
+        assert np.array_equal(point.mode_density, mode_density(k))
 
 
 class TestPhotonBranch:
@@ -338,3 +334,134 @@ class TestWienPeak:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             wien_peak(-5.0)
+
+
+# -- array evaluation -------------------------------------------------------
+#
+# Reference formulas written with the math module and Python floats, in the
+# operation order of the package's formulas: the array path must reproduce
+# them bit for bit (numpy's SIMD exp/expm1/power would not).
+
+K_COMPTON_E = ELECTRON_MASS * C / HBAR
+
+
+def _ref_sqrt_factor(lam, state):
+    ratio = (2.0 * math.pi * HBAR / (state.mass * C)) / lam
+    return math.sqrt((1.0 - ratio) * (1.0 + ratio))
+
+
+def _ref_bose(e, x):
+    return e * math.exp(-x) if x > 700.0 else e / math.expm1(x)
+
+
+def _ref_mode_energy(lam, state):
+    return state.mass * state.gamma * C**2 * _ref_sqrt_factor(lam, state)
+
+
+def _ref_mean_energy(lam, state):
+    x = state.mass * C**2 / (KB * state.temperature) * state.gamma * _ref_sqrt_factor(lam, state)
+    return _ref_bose(_ref_mode_energy(lam, state), x)
+
+
+def _ref_mode_density(k):
+    return k**2 / (2.0 * math.pi**2)
+
+
+def _ref_photon_mean(omega, t):
+    return _ref_bose(HBAR * omega, HBAR * omega / (KB * t))
+
+
+def _ref_planck(omega, t):
+    return (omega**2 / (math.pi**2 * C**3)) * _ref_photon_mean(omega, t)
+
+
+#: E/kT runs from below 1e-5 to about 1e3 across these states; the
+#: electron at 1.2e7 K with gamma = 2 crosses the EXP_CUTOFF branch.
+MASSIVE_STATES = [
+    ThermalState(ELECTRON_MASS, 1.2e7, gamma=2.0),
+    state_with_mu(3.0, gamma=2.5),
+    state_with_mu(1e-5),
+]
+#: log-spaced k from 1e-4 k_C up to within 1e-12 of the Compton wavenumber
+K_GRID = np.concatenate([np.geomspace(1e-4, 0.999, 2000), 1.0 - np.geomspace(1e-3, 1e-12, 40)]) * K_COMPTON_E
+OMEGA_X = np.geomspace(1e-8, 1e3, 4000)
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("state", MASSIVE_STATES, ids=["cutoff-gamma2", "mu3-gamma2.5", "equipartition"])
+    def test_massive_formulas_match_scalar_bits(self, state):
+        lam = 2.0 * math.pi / K_GRID
+        energy = mode_energy_massive(lam, state)
+        assert np.array_equal(energy, [mode_energy_massive(float(v), state) for v in lam])
+        assert np.array_equal(energy, [_ref_mode_energy(float(v), state) for v in lam])
+        mean = mean_energy(lam, state)
+        assert np.array_equal(mean, [mean_energy(float(v), state) for v in lam])
+        assert np.array_equal(mean, [_ref_mean_energy(float(v), state) for v in lam])
+        point = spectral_density_massive(K_GRID, state)
+        scalar = [spectral_density_massive(float(k), state) for k in K_GRID]
+        for field in ("k", "mode_density", "mean_energy", "spectral_density"):
+            assert np.array_equal(getattr(point, field), [getattr(p, field) for p in scalar])
+
+    def test_cutoff_branch_is_exercised(self):
+        state = MASSIVE_STATES[0]
+        x = state.mass * C**2 / (KB * state.temperature) * state.gamma
+        lam = 2.0 * math.pi / K_GRID
+        xs = np.array([x * _ref_sqrt_factor(float(v), state) for v in lam])
+        assert xs.min() < 700.0 < xs.max()
+
+    def test_mode_density_matches_scalar_bits(self):
+        nk = mode_density(K_GRID)
+        assert np.array_equal(nk, [mode_density(float(k)) for k in K_GRID])
+        assert np.array_equal(nk, [_ref_mode_density(float(k)) for k in K_GRID])
+
+    @pytest.mark.parametrize("t", [300.0, 1.2e7, 1e-3])
+    def test_photon_formulas_match_scalar_bits(self, t):
+        omega = OMEGA_X * KB * t / HBAR
+        mean = photon_mean_energy(omega, t)
+        assert np.array_equal(mean, [photon_mean_energy(float(w), t) for w in omega])
+        assert np.array_equal(mean, [_ref_photon_mean(float(w), t) for w in omega])
+        rho = planck_spectral_density(omega, t)
+        assert np.array_equal(rho, [planck_spectral_density(float(w), t) for w in omega])
+        assert np.array_equal(rho, [_ref_planck(float(w), t) for w in omega])
+
+    def test_scalars_return_python_floats(self):
+        state = MASSIVE_STATES[1]
+        lam = 2.0 * math.pi / (0.5 * K_COMPTON_E)
+        for value in (
+            mode_energy_massive(lam, state),
+            mean_energy(np.float64(lam), state),
+            mode_density(2.0),
+            photon_mean_energy(1e14, 300.0),
+            planck_spectral_density(1e14, 300.0),
+            *vars(spectral_density_massive(0.5 * K_COMPTON_E, state)).values(),
+        ):
+            assert type(value) is float
+
+    def test_array_shape_is_kept(self):
+        omega = np.geomspace(1e12, 1e15, 12).reshape(3, 4)
+        assert planck_spectral_density(omega, 300.0).shape == (3, 4)
+        assert mean_energy(2.0 * math.pi / K_GRID[:12].reshape(4, 3), MASSIVE_STATES[1]).shape == (4, 3)
+
+    def test_array_domain_errors_name_the_first_bad_element(self):
+        state = MASSIVE_STATES[1]
+        lam = np.array([1.0, 0.5 * LAMBDA_CRIT_E, 0.25 * LAMBDA_CRIT_E])
+        with pytest.raises(ImaginaryEnergy) as excinfo:
+            mean_energy(lam, state)
+        assert excinfo.value.wavelength == lam[1]
+        with pytest.raises(DomainError):
+            mode_density(np.array([1.0, 0.0]))
+        with pytest.raises(DomainError):
+            photon_mean_energy(np.array([1e14, np.nan]), 300.0)
+        with pytest.raises(WrongBranch):
+            spectral_density_massive(K_GRID, ThermalState(0.0, 300.0))
+
+    def test_underflowed_energy_is_a_domain_error(self):
+        # hbar*omega underflows to 0 below omega ~ 5e-290 rad/s
+        with pytest.raises(DomainError, match="underflows"):
+            photon_mean_energy(np.array([1e14, 1e-300]), 300.0)
+        with pytest.raises(DomainError, match="temperature"):
+            photon_mean_energy(1e14, math.inf)
+
+    def test_overflowing_power_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="overflows"):
+            planck_spectral_density(np.array([1e14, 1e200]), 300.0)
