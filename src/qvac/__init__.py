@@ -70,6 +70,7 @@ from .modestats import (
     mode_probability_rel,
     n_particle_weight,
     photon_mean_energy,
+    photon_spectrum,
     planck_spectral_density,
     spectral_density_massive,
     wien_peak,
@@ -97,6 +98,7 @@ from .sampler import (
     mean_periodogram,
     report_json_bytes,
     sample_field,
+    sample_report,
 )
 
 __version__ = "0.1.0"

@@ -73,12 +73,17 @@ def _write_output(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _csv_lines(width: int, rows):
+    """One CSV data line per row, each row a sequence of ``width`` Python floats."""
+    line_fmt = ",".join([_FLOAT_FMT] * width)
+    return (line_fmt % tuple(row) for row in rows)
+
+
 def _render_csv(comments, columns, rows, footer_comments=()) -> str:
     """``rows`` is an iterable of rows, each a sequence of Python floats."""
-    line_fmt = ",".join([_FLOAT_FMT] * len(columns))
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(columns))
-    lines.extend(line_fmt % tuple(row) for row in rows)
+    lines.extend(_csv_lines(len(columns), rows))
     lines.extend(f"# {c}" for c in footer_comments)
     return "\n".join(lines) + "\n"
 
@@ -131,16 +136,18 @@ def _cmd_spectrum(args) -> int:
         )
     if not 0.0 < k_min <= k_max < math.inf:
         raise DomainError("k_min must satisfy 0 < k_min <= k_max < inf (after any clamping)")
-    point = ms.spectral_density_massive(np.geomspace(k_min, k_max, args.points), state)
-    wavelength = 2.0 * math.pi / point.k
-    columns = {
-        "k": units.from_si(point.k, "wavenumber"),
-        "lambda": units.from_si(wavelength, "length"),
-        "mode_energy": units.from_si(ms.mode_energy_massive(wavelength, state), "energy"),
-        "mean_energy": units.from_si(point.mean_energy, "energy"),
-        "mode_density": units.from_si(point.mode_density, "mode_density"),
-        "spectral_density": units.from_si(point.spectral_density, "spectral_density_wavenumber"),
-    }
+    # A column that leaves the double range is reported by _finite_rows, not by numpy warnings.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        point = ms.spectral_density_massive(np.geomspace(k_min, k_max, args.points), state)
+        wavelength = 2.0 * math.pi / point.k
+        columns = {
+            "k": units.from_si(point.k, "wavenumber"),
+            "lambda": units.from_si(wavelength, "length"),
+            "mode_energy": units.from_si(ms.mode_energy_massive(wavelength, state), "energy"),
+            "mean_energy": units.from_si(point.mean_energy, "energy"),
+            "mode_density": units.from_si(point.mode_density, "mode_density"),
+            "spectral_density": units.from_si(point.spectral_density, "spectral_density_wavenumber"),
+        }
     meta = {
         "mass": args.mass,
         "temp": args.temp,
@@ -168,10 +175,10 @@ def _cmd_photon_spectrum(args) -> int:
     if not 0.0 < omega_min <= omega_max < math.inf:
         raise DomainError("omega bounds must satisfy 0 < omega_min <= omega_max < inf")
     omega_grid = np.geomspace(omega_min, omega_max, args.points)
-    rho = ms.planck_spectral_density(omega_grid, temp)
+    mean, rho = ms.photon_spectrum(omega_grid, temp)
     columns = {
         "omega": units.from_si(omega_grid, "angular_frequency"),
-        "mean_energy": units.from_si(ms.photon_mean_energy(omega_grid, temp), "energy"),
+        "mean_energy": units.from_si(mean, "energy"),
         "spectral_density": units.from_si(rho, "spectral_density_frequency"),
     }
     rows = _finite_rows(columns)
@@ -235,16 +242,21 @@ def _cmd_correlation(args) -> int:
 
 def _cmd_sample(args) -> int:
     config = smp.load_config(args.config)
-    field = smp.sample_field(config)
-    report = smp.build_sample_report(config, field)
-    with open(args.report_out, "wb") as fh:
-        fh.write(smp.report_json_bytes(report))
-    if not args.no_field:
+    if args.no_field:
+        report = smp.sample_report(config)
+    else:
+        # The realizations CSV is written block by block as the estimators consume them.
         comments = [f"{key} = {value}" for key, value in config.as_dict().items()]
         columns = [f"x{i}" for i in range(config.grid_points)]
-        text = _render_csv(comments, columns, (row.tolist() for row in field.values))
         with open(args.field_out, "w") as fh:
-            fh.write(text)
+
+            def write_rows(block):
+                fh.writelines(line + "\n" for line in _csv_lines(len(columns), block.tolist()))
+
+            fh.write(_render_csv(comments, columns, ()))
+            report = smp.sample_report(config, write_rows)
+    with open(args.report_out, "wb") as fh:
+        fh.write(smp.report_json_bytes(report))
     summary = "pass" if report["pass"] else "FAIL"
     print(
         f"sample: {config.realizations} realizations on {config.grid_points} points; "

@@ -81,7 +81,10 @@ def correlation_length(mass: float, temperature: float) -> float:
         raise DomainError("mass must be > 0")
     if not temperature > 0.0:
         raise DomainError("temperature must be > 0")
-    return 2.0 * CONSTANTS.hbar / math.sqrt(2.0 * mass * CONSTANTS.k_boltzmann * temperature)
+    thermal = 2.0 * mass * CONSTANTS.k_boltzmann * temperature
+    if not 0.0 < thermal < math.inf:
+        raise DomainError("2*m*k_B*T leaves the double range at these inputs")
+    return 2.0 * CONSTANTS.hbar / math.sqrt(thermal)
 
 
 def gaussian_spectrum(k, lambda_c: float):

@@ -191,6 +191,14 @@ def photon_mean_energy(omega: float | np.ndarray, temperature: float) -> float |
     return _libm(_bose, e, e / (CONSTANTS.k_boltzmann * temperature))
 
 
+def photon_spectrum(omega: float | np.ndarray, temperature: float) -> tuple:
+    """``(photon_mean_energy, planck_spectral_density)`` at omega, with the
+    Planck mean energy evaluated once for both."""
+    omega = _value(omega)
+    mean = photon_mean_energy(omega, temperature)
+    return mean, (_libm(math.pow, omega, 2.0) / (math.pi**2 * CONSTANTS.c**3)) * mean
+
+
 def planck_spectral_density(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
     """Black-body energy density per angular frequency, J*s/m^3.
 
@@ -198,9 +206,7 @@ def planck_spectral_density(omega: float | np.ndarray, temperature: float) -> fl
     2 for the photon polarizations is already included relative to the
     single-polarization scalar mode density.
     """
-    omega = _value(omega)
-    mean = photon_mean_energy(omega, temperature)
-    return (_libm(math.pow, omega, 2.0) / (math.pi**2 * CONSTANTS.c**3)) * mean
+    return photon_spectrum(omega, temperature)[1]
 
 
 def wien_peak(temperature: float) -> float:

@@ -11,6 +11,14 @@ Randomness comes from the counter-based Philox-4x64-10 generator keyed by
 (seed, realization index), not from the platform default: realization i of
 a given configuration is the same bit pattern on every platform and may be
 generated independently of all others.
+
+Synthesis and estimators form one block pipeline: realizations are drawn
+in index order, ``block_rows(grid_points)`` rows (about BLOCK_SAMPLES
+samples) at a time, and each block is folded into one accumulator holding
+the periodogram sum and the centered moments.  Memory is bounded by the
+block, not by the number of realizations, and a stored field's rows run
+through the same blocks, so ``sample_report(config)`` equals
+``build_sample_report(config, sample_field(config))``.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,6 +43,14 @@ MIN_EXTENT_LC = 20.0
 MAX_SPACING_LC = 0.125
 
 MIN_GRID_POINTS = 256
+
+#: Target samples per pipeline block (2 MiB of float64 field values).
+BLOCK_SAMPLES = 2**18
+
+
+def block_rows(grid_points: int) -> int:
+    """Realizations per pipeline block at ``grid_points`` samples each."""
+    return max(1, BLOCK_SAMPLES // grid_points)
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,10 @@ class SamplerConfig:
                 f"grid spacing must be <= lambda_c/8 to resolve the correlation peak; "
                 f"got spacing/lambda_c = {self.spacing / self.lambda_c:.3g}"
             )
+        if not (self.spacing > 0.0 and math.isfinite(2.0 * math.pi / self.spacing)):
+            raise ConfigError(
+                f"grid spacing {self.spacing:.3g} m is too small: the mode wavenumbers leave the double range"
+            )
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if self.realizations < 1:
@@ -88,12 +109,34 @@ class SamplerConfig:
         }
 
 
+def _config_int(path: str, raw: dict, name: str, default: int) -> int:
+    value = raw.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: {name} must be an integer; got {value!r}")
+    return value
+
+
+def _config_float(path: str, raw: dict, name: str, default: float | None = None) -> float:
+    value = raw.get(name, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:
+            pass
+        else:
+            if math.isfinite(value):
+                return value
+    raise ConfigError(f"{path}: {name} must be a finite number; got {value!r}")
+
+
 def load_config(path: str) -> SamplerConfig:
     """Read a SamplerConfig from a JSON document.
 
     ``lambda_c`` is required; the remaining fields default to the standard
     desk-scale validation setup (1024 points, extent 40*lambda_c, seed 0,
-    4096 realizations).
+    4096 realizations).  ``grid_points``, ``seed`` and ``realizations``
+    must be JSON integers, ``lambda_c`` and ``extent`` finite numbers
+    (booleans are neither).
     """
     with open(path) as fh:
         try:
@@ -104,17 +147,17 @@ def load_config(path: str) -> SamplerConfig:
         raise ConfigError(f"{path}: config must be a JSON object")
     if "lambda_c" not in raw:
         raise ConfigError(f"{path}: config requires lambda_c")
-    lambda_c = float(raw["lambda_c"])
     known = {"grid_points", "extent", "lambda_c", "seed", "realizations"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
+    lambda_c = _config_float(path, raw, "lambda_c")
     return SamplerConfig(
-        grid_points=int(raw.get("grid_points", 1024)),
-        extent=float(raw.get("extent", 40.0 * lambda_c)),
+        grid_points=_config_int(path, raw, "grid_points", 1024),
+        extent=_config_float(path, raw, "extent", 40.0 * lambda_c),
         lambda_c=lambda_c,
-        seed=int(raw.get("seed", 0)),
-        realizations=int(raw.get("realizations", 4096)),
+        seed=_config_int(path, raw, "seed", 0),
+        realizations=_config_int(path, raw, "realizations", 4096),
     )
 
 
@@ -141,24 +184,20 @@ class NoiseField:
         return self.extent / self.values.shape[1]
 
 
-def _mode_coefficients(rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
-    """Complex Gaussian rfft coefficients with E|c_m|^2 = weights[m]."""
-    z = rng.standard_normal((2, weights.size))
-    coeff = (z[0] + 1j * z[1]) / math.sqrt(2.0)
+def _mode_coefficients(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Complex Gaussian rfft coefficients with E|c_m|^2 = weights[m], one
+    row per realization, from standard normals ``z[:, 0]`` (real parts)
+    and ``z[:, 1]`` (imaginary parts)."""
+    coeff = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
     # DC and Nyquist coefficients of an even-length real field are real.
-    coeff[0] = z[0, 0]
-    coeff[-1] = z[0, -1]
+    coeff[:, 0] = z[:, 0, 0]
+    coeff[:, -1] = z[:, 0, -1]
     return coeff * np.sqrt(weights)
 
 
-def sample_field(config: SamplerConfig, spectrum_fn=None) -> NoiseField:
-    """Draw ``config.realizations`` independent field realizations.
-
-    ``spectrum_fn`` maps a wavenumber array to non-negative spectral
-    weights; it defaults to the Gaussian vacuum spectrum at
-    ``config.lambda_c``.  Passing ``lambda k: np.ones_like(k)`` yields
-    spatially white noise.  Output is deterministic in (seed, config).
-    """
+def _field_blocks(config: SamplerConfig, spectrum_fn=None) -> Iterator[np.ndarray]:
+    """Realizations 0 .. config.realizations - 1 in consecutive blocks of
+    ``block_rows(config.grid_points)`` rows (the last may be shorter)."""
     n = config.grid_points
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=config.spacing)
     if spectrum_fn is None:
@@ -172,26 +211,113 @@ def sample_field(config: SamplerConfig, spectrum_fn=None) -> NoiseField:
         raise ConfigError("spectrum is identically zero")
     # Scale so the synthesized field has unit variance.
     amplitude = n / math.sqrt(total)
-    fields = np.empty((config.realizations, n))
-    for i in range(config.realizations):
-        key = np.array([config.seed, i], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        coeff = _mode_coefficients(rng, weights)
-        fields[i] = np.fft.irfft(coeff, n=n) * amplitude
-    return NoiseField(values=fields, extent=config.extent, lambda_c=config.lambda_c, seed=config.seed)
+    # One Philox re-keyed per realization draws the same stream as
+    # Philox(key=[seed, i]) without building an unused entropy SeedSequence.
+    bitgen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    rows = block_rows(n)
+    for start in range(0, config.realizations, rows):
+        stop = min(start + rows, config.realizations)
+        z = np.empty((stop - start, 2, k.size))
+        for row, i in enumerate(range(start, stop)):
+            key[1] = i
+            bitgen.state = state
+            rng.standard_normal(out=z[row])
+        block = np.fft.irfft(_mode_coefficients(z, weights), n=n, axis=1) * amplitude
+        if not np.all(np.isfinite(block)):
+            raise ConfigError("field values must be finite")
+        yield block
+
+
+def sample_field(config: SamplerConfig, spectrum_fn=None) -> NoiseField:
+    """Draw ``config.realizations`` independent field realizations.
+
+    ``spectrum_fn`` maps a wavenumber array to non-negative spectral
+    weights; it defaults to the Gaussian vacuum spectrum at
+    ``config.lambda_c``.  Passing ``lambda k: np.ones_like(k)`` yields
+    spatially white noise.  Output is deterministic in (seed, config).
+    """
+    values = np.empty((config.realizations, config.grid_points))
+    start = 0
+    for block in _field_blocks(config, spectrum_fn):
+        values[start : start + len(block)] = block
+        start += len(block)
+    return NoiseField(values=values, extent=config.extent, lambda_c=config.lambda_c, seed=config.seed)
+
+
+class _Accumulator:
+    """Running estimator state over realizations fed in order, block by
+    block: the periodogram sum, added one realization at a time (so it is
+    bit-identical to summing a stored field's periodograms over axis 0),
+    and the sample count, mean and centered power sums of all samples,
+    merged across blocks with the pairwise formulas of Chan et al. and
+    Pebay (SAND2008-6212)."""
+
+    def __init__(self, grid_points: int):
+        self.rows = 0
+        self.power_sum = np.zeros(grid_points // 2 + 1)
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = self.m3 = self.m4 = 0.0
+
+    def add(self, block: np.ndarray) -> None:
+        for power in np.abs(np.fft.rfft(block, axis=1)) ** 2:
+            self.power_sum += power
+        self.rows += block.shape[0]
+        x = block.ravel()
+        nb = x.size
+        mean_b = float(x.mean())
+        c = x - mean_b
+        c2 = c * c
+        m2_b = float(c2.sum())
+        m3_b = float((c2 * c).sum())
+        m4_b = float((c2 * c2).sum())
+        na = self.count
+        n = na + nb
+        delta = mean_b - self.mean
+        d_n = delta / n
+        cross = delta * d_n * na * nb
+        self.m4 += (
+            m4_b
+            + cross * d_n * d_n * (na * na - na * nb + nb * nb)
+            + 6.0 * d_n * d_n * (na * na * m2_b + nb * nb * self.m2)
+            + 4.0 * d_n * (na * m3_b - nb * self.m3)
+        )
+        self.m3 += m3_b + cross * d_n * (na - nb) + 3.0 * d_n * (na * m2_b - nb * self.m2)
+        self.m2 += m2_b + cross
+        self.mean += delta * (nb / n)
+        self.count = n
+
+    def mean_power(self) -> np.ndarray:
+        return self.power_sum / self.rows
+
+
+def _accumulate(field: NoiseField) -> _Accumulator:
+    """A stored field's rows through the pipeline blocks."""
+    m, n = field.values.shape
+    acc = _Accumulator(n)
+    rows = block_rows(n)
+    for start in range(0, m, rows):
+        acc.add(field.values[start : start + rows])
+    return acc
+
+
+def _correlation(acc: _Accumulator, spacing: float) -> CorrelationFunction:
+    n = 2 * (acc.power_sum.size - 1)
+    acov = np.fft.irfft(acc.mean_power(), n=n) / n
+    g = acov / acov[0]
+    lags = np.arange(n // 2 + 1)
+    xi = lags * spacing
+    g_half = g[: n // 2 + 1]
+    return CorrelationFunction(xi_grid=xi, g_values=g_half, lambda_c=e_folding_lag(xi, g_half))
 
 
 def empirical_correlation(field: NoiseField) -> CorrelationFunction:
     """Circular autocorrelation averaged over realizations, normalized to
     1 at lag zero; lags run from 0 to half the domain."""
-    m, n = field.values.shape
-    power = np.abs(np.fft.rfft(field.values, axis=1)) ** 2
-    acov = np.fft.irfft(power.mean(axis=0), n=n) / n
-    g = acov / acov[0]
-    lags = np.arange(n // 2 + 1)
-    xi = lags * field.spacing
-    g_half = g[: n // 2 + 1]
-    return CorrelationFunction(xi_grid=xi, g_values=g_half, lambda_c=e_folding_lag(xi, g_half))
+    return _correlation(_accumulate(field), field.spacing)
 
 
 def mean_periodogram(field: NoiseField) -> tuple[np.ndarray, np.ndarray]:
@@ -201,10 +327,8 @@ def mean_periodogram(field: NoiseField) -> tuple[np.ndarray, np.ndarray]:
     spectrum S(k); with M realizations each mode fluctuates with relative
     standard error 1/sqrt(M) (sqrt(2/M) for the real DC/Nyquist modes).
     """
-    m, n = field.values.shape
-    k = 2.0 * math.pi * np.fft.rfftfreq(n, d=field.spacing)
-    power = (np.abs(np.fft.rfft(field.values, axis=1)) ** 2).mean(axis=0)
-    return k, power
+    k = 2.0 * math.pi * np.fft.rfftfreq(field.values.shape[1], d=field.spacing)
+    return k, _accumulate(field).mean_power()
 
 
 @dataclass(frozen=True)
@@ -236,19 +360,12 @@ class GaussianityReport:
         }
 
 
-def gaussianity_check(field: NoiseField) -> GaussianityReport:
-    """Moment-based normality check over all samples of all realizations.
-
-    A field with (numerically) zero variance is reported as degenerate and
-    fails.  Thresholds are calibrated for N >= ~1024 samples.
-    """
-    x = field.values.ravel()
-    n = x.size
+def _gaussianity(acc: _Accumulator) -> GaussianityReport:
+    n = acc.count
     skew_threshold = 5.0 * math.sqrt(6.0 / n)
     kurt_threshold = 5.0 * math.sqrt(24.0 / n)
-    centered = x - x.mean()
-    m2 = float(np.mean(centered**2))
-    scale = float(np.mean(x**2)) + np.finfo(float).tiny
+    m2 = acc.m2 / n
+    scale = m2 + acc.mean * acc.mean + np.finfo(float).tiny
     if m2 <= 1e-30 * scale:
         return GaussianityReport(
             sample_count=n,
@@ -259,10 +376,8 @@ def gaussianity_check(field: NoiseField) -> GaussianityReport:
             passed=False,
             degenerate=True,
         )
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
-    skewness = m3 / m2**1.5
-    excess_kurtosis = m4 / m2**2 - 3.0
+    skewness = (acc.m3 / n) / m2**1.5
+    excess_kurtosis = (acc.m4 / n) / m2**2 - 3.0
     passed = abs(skewness) < skew_threshold and abs(excess_kurtosis) < kurt_threshold
     return GaussianityReport(
         sample_count=n,
@@ -274,14 +389,17 @@ def gaussianity_check(field: NoiseField) -> GaussianityReport:
     )
 
 
-def build_sample_report(config: SamplerConfig, field: NoiseField) -> dict:
-    """Estimator summary used by the CLI: empirical correlation against the
-    analytic Gaussian at the canonical probe lags, plus gaussianity.
+def gaussianity_check(field: NoiseField) -> GaussianityReport:
+    """Moment-based normality check over all samples of all realizations.
 
-    The dictionary is plain data; serialize it with ``report_json_bytes``
-    for byte-stable output.
+    A field with (numerically) zero variance is reported as degenerate and
+    fails.  Thresholds are calibrated for N >= ~1024 samples.
     """
-    corr = empirical_correlation(field)
+    return _gaussianity(_accumulate(field))
+
+
+def _report(config: SamplerConfig, acc: _Accumulator) -> dict:
+    corr = _correlation(acc, config.spacing)
     probes = {}
     for mult in (0.5, 1.0, 2.0):
         xi = mult * config.lambda_c
@@ -294,7 +412,7 @@ def build_sample_report(config: SamplerConfig, field: NoiseField) -> dict:
             "abs_error": abs(measured - expected),
         }
     corr_at_lc = probes["1"]["measured"]
-    gauss = gaussianity_check(field)
+    gauss = _gaussianity(acc)
     corr_pass = abs(corr_at_lc - math.exp(-1.0)) <= 0.02
     return {
         "config": config.as_dict(),
@@ -308,6 +426,29 @@ def build_sample_report(config: SamplerConfig, field: NoiseField) -> dict:
         "gaussianity": gauss.as_dict(),
         "pass": bool(corr_pass and gauss.passed),
     }
+
+
+def build_sample_report(config: SamplerConfig, field: NoiseField) -> dict:
+    """Estimator summary used by the CLI: empirical correlation against the
+    analytic Gaussian at the canonical probe lags, plus gaussianity.
+
+    The dictionary is plain data; serialize it with ``report_json_bytes``
+    for byte-stable output.
+    """
+    return _report(config, _accumulate(field))
+
+
+def sample_report(config: SamplerConfig, on_block: Callable[[np.ndarray], object] | None = None) -> dict:
+    """``build_sample_report(config, sample_field(config))`` without holding
+    the field: each block of realizations is passed to ``on_block`` (for
+    example to write it out) and folded into the estimators before the
+    next is drawn, so memory stays bounded by one block."""
+    acc = _Accumulator(config.grid_points)
+    for block in _field_blocks(config):
+        if on_block is not None:
+            on_block(block)
+        acc.add(block)
+    return _report(config, acc)
 
 
 def report_json_bytes(report: dict) -> bytes:

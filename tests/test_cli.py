@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
-from qvac import CONSTANTS, ELECTRON_MASS
-from qvac.cli import main
+from qvac import CONSTANTS, ELECTRON_MASS, SamplerConfig, modestats, sample_field
+from qvac.cli import _render_csv, main
+from qvac.sampler import block_rows
 
 KB = CONSTANTS.k_boltzmann
 HBAR = CONSTANTS.hbar
@@ -149,6 +151,14 @@ class TestPhotonSpectrum:
         stefan = (math.pi**2 / 15.0) * (KB * 300.0) ** 4 / (HBAR**3 * CONSTANTS.c**3)
         assert integral == pytest.approx(stefan, rel=1e-4)
 
+    def test_planck_mean_energy_is_evaluated_once_per_point(self, capsys, monkeypatch):
+        calls = []
+        bose = modestats._bose
+        monkeypatch.setattr(modestats, "_bose", lambda e, x: calls.append(x) or bose(e, x))
+        code, _, _ = run_cli(capsys, "photon-spectrum", "--temp", "300", "--points", "16")
+        assert code == 0
+        assert len(calls) == 16
+
     def test_single_point_has_no_footer(self, capsys):
         code, out, _ = run_cli(capsys, "photon-spectrum", "--temp", "300", "--points", "1")
         assert code == 0
@@ -190,6 +200,12 @@ class TestCorrelation:
         assert code == 2
         assert out == ""
         assert err == "error: xi-max must be finite and > 0\n"
+
+    @pytest.mark.parametrize("mass, temp", [("1e-300", "1e-300"), ("1e300", "1e300")])
+    def test_unrepresentable_correlation_length_exits_two(self, capsys, mass, temp):
+        code, out, err = run_cli(capsys, "correlation", "--mass", mass, "--temp", temp)
+        assert code == 2
+        assert err == "error: 2*m*k_B*T leaves the double range at these inputs\n"
 
     def test_json_document(self, capsys):
         code, out, _ = run_cli(
@@ -238,6 +254,61 @@ class TestSample:
         code, _, err = run_cli(capsys, "sample", str(cfg), "--no-field", "--report-out", str(tmp_path / "r.json"))
         assert code == 2
         assert "extent" in err
+
+    @pytest.mark.parametrize("name, literal, message", [
+        ("grid_points", '"abc"', "grid_points must be an integer; got 'abc'"),
+        ("realizations", "1e400", "realizations must be an integer; got inf"),
+        ("lambda_c", "null", "lambda_c must be a finite number; got None"),
+        ("realizations", "2.7", "realizations must be an integer; got 2.7"),
+        ("lambda_c", "1e400", "lambda_c must be a finite number; got inf"),
+        ("seed", "true", "seed must be an integer; got True"),
+        ("extent", "false", "extent must be a finite number; got False"),
+    ])
+    def test_malformed_field_exits_two(self, tmp_path, capsys, name, literal, message):
+        # the JSON text is spliced in by hand: json.dumps cannot write 1e400
+        path = self._write_config(tmp_path, **{name: "@"})
+        path.write_text(path.read_text().replace('"@"', literal))
+        code, out, err = run_cli(capsys, "sample", str(path), "--no-field", "--report-out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    def test_unrepresentable_grid_spacing_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"lambda_c": 1e-310}))  # extent/grid_points is subnormal
+        code, _, err = run_cli(capsys, "sample", str(path), "--no-field", "--report-out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert err.startswith("error: grid spacing") and "double range" in err
+
+    def test_streamed_field_csv_equals_one_shot_render(self, tmp_path, capsys):
+        realizations = block_rows(256) + 3
+        cfg = self._write_config(tmp_path, realizations=realizations)
+        field_path = tmp_path / "field.csv"
+        code, _, _ = run_cli(
+            capsys, "sample", str(cfg), "--field-out", str(field_path), "--report-out", str(tmp_path / "r.json")
+        )
+        assert code == 0
+        config = SamplerConfig(**json.loads(cfg.read_text()))
+        comments = [f"{key} = {value}" for key, value in config.as_dict().items()]
+        columns = [f"x{i}" for i in range(256)]
+        expected = _render_csv(comments, columns, sample_field(config).values.tolist())
+        assert field_path.read_text() == expected
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path, capsys):
+        def traced_peak(realizations):
+            cfg = self._write_config(tmp_path, realizations=realizations)
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(capsys, "sample", str(cfg), "--no-field", "--report-out", str(tmp_path / "r.json"))
+                assert code == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block = traced_peak(block_rows(256))
+        eight_blocks = traced_peak(8 * block_rows(256))
+        assert eight_blocks <= 1.5 * one_block, (one_block, eight_blocks)
 
 
 class TestQpot:
@@ -358,6 +429,14 @@ class TestSpectrumInputGuards:
         assert out == ""
         assert err.startswith("error: ") and named in err
         assert "Traceback" not in err and "Warning" not in err
+
+
+    def test_overflowing_column_prints_only_the_error(self, capsys):
+        # 2*pi/k overflows for a subnormal k_min; numpy must not warn first
+        code, out, err = run_cli(capsys, "spectrum", "--mass", "1e-30", "--temp", "300", "--k-min", "1e-320")
+        assert code == 2
+        assert out == ""
+        assert err == "error: lambda leaves the double range at these inputs\n"
 
 
 class TestBlackhole:

@@ -17,6 +17,7 @@ from qvac import (
     mode_probability_rel,
     n_particle_weight,
     photon_mean_energy,
+    photon_spectrum,
     planck_spectral_density,
     spectral_density_massive,
     wien_peak,
@@ -423,6 +424,14 @@ class TestArrayEvaluation:
         rho = planck_spectral_density(omega, t)
         assert np.array_equal(rho, [planck_spectral_density(float(w), t) for w in omega])
         assert np.array_equal(rho, [_ref_planck(float(w), t) for w in omega])
+
+    @pytest.mark.parametrize("t", [300.0, 1.2e7])
+    def test_photon_spectrum_is_both_formulas(self, t):
+        omega = OMEGA_X * KB * t / HBAR
+        mean, rho = photon_spectrum(omega, t)
+        assert np.array_equal(mean, photon_mean_energy(omega, t))
+        assert np.array_equal(rho, planck_spectral_density(omega, t))
+        assert photon_spectrum(float(omega[3]), t) == (mean[3], rho[3])
 
     def test_scalars_return_python_floats(self):
         state = MASSIVE_STATES[1]

@@ -16,9 +16,35 @@ from qvac import (
     mean_periodogram,
     report_json_bytes,
     sample_field,
+    sample_report,
 )
+from qvac.sampler import block_rows
 
 LC = 1.0e-9
+
+#: Three realizations past one pipeline block at 256 points.
+MULTI_BLOCK = dict(grid_points=256, extent=2.4e-08, seed=9, realizations=block_rows(256) + 3)
+
+#: ``config`` and ``correlation`` of the MULTI_BLOCK report as computed by
+#: the unblocked implementation (the whole field's periodogram averaged over
+#: axis 0), before synthesis and estimators were streamed in blocks.
+UNBLOCKED_REPORT = {
+    "config": {"extent": 2.4e-08, "grid_points": 256, "lambda_c": 1e-09, "realizations": 1027, "seed": 9},
+    "correlation": {
+        "at_lambda_c": 0.36714647367151704,
+        "pass": True,
+        "probes": {
+            "0.5": {"abs_error": 0.001511188789599105, "expected": 0.7788007830714049,
+                    "measured": 0.7772895942818058, "xi": 5e-10},
+            "1": {"abs_error": 0.0007329674999252966, "expected": 0.36787944117144233,
+                  "measured": 0.36714647367151704, "xi": 1e-09},
+            "2": {"abs_error": 0.0012139676792529662, "expected": 0.01831563888873418,
+                  "measured": 0.017101671209481212, "xi": 2e-09},
+        },
+        "recovered_lambda_c": 9.990180387084943e-10,
+        "target": 0.36787944117144233,
+    },
+}
 
 
 def make_config(**overrides) -> SamplerConfig:
@@ -182,3 +208,93 @@ class TestReport:
     def test_noisefield_promotes_single_realization(self):
         field = NoiseField(values=np.zeros(512), extent=40.0 * LC, lambda_c=LC, seed=0)
         assert field.values.shape == (1, 512)
+
+
+def reference_field(cfg: SamplerConfig) -> np.ndarray:
+    """Realization by realization, each from a freshly keyed Philox: the
+    unblocked synthesis the block pipeline must reproduce bit for bit."""
+    n = cfg.grid_points
+    weights = gaussian_spectrum(2.0 * math.pi * np.fft.rfftfreq(n, d=cfg.spacing), cfg.lambda_c)
+    amplitude = n / math.sqrt(weights[0] + 2.0 * weights[1:-1].sum() + weights[-1])
+    rows = []
+    for i in range(cfg.realizations):
+        rng = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)))
+        z = rng.standard_normal((2, weights.size))
+        coeff = (z[0] + 1j * z[1]) / math.sqrt(2.0)
+        coeff[0] = z[0, 0]
+        coeff[-1] = z[0, -1]
+        rows.append(np.fft.irfft(coeff * np.sqrt(weights), n=n) * amplitude)
+    return np.array(rows)
+
+
+def longdouble_moments(values: np.ndarray) -> tuple[float, float]:
+    """Two-pass skewness and excess kurtosis in extended precision."""
+    x = values.ravel().astype(np.longdouble)
+    c = x - x.mean()
+    m2 = np.mean(c * c)
+    return float(np.mean(c * c * c) / m2**1.5), float(np.mean(c * c * c * c) / m2**2 - 3)
+
+
+class TestBlockPipeline:
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        cfg = make_config(**MULTI_BLOCK)
+        assert cfg.realizations % block_rows(cfg.grid_points) != 0
+        return cfg
+
+    @pytest.fixture(scope="class")
+    def reference(self, cfg):
+        return reference_field(cfg)
+
+    @pytest.fixture(scope="class")
+    def field(self, cfg):
+        return sample_field(cfg)
+
+    def test_field_equals_per_realization_reference(self, field, reference):
+        assert np.array_equal(field.values, reference)
+
+    def test_periodogram_and_correlation_equal_unblocked_estimators(self, field, reference):
+        power = (np.abs(np.fft.rfft(reference, axis=1)) ** 2).mean(axis=0)
+        k, measured = mean_periodogram(field)
+        assert np.array_equal(measured, power)
+        n = field.values.shape[1]
+        acov = np.fft.irfft(power, n=n) / n
+        corr = empirical_correlation(field)
+        assert np.array_equal(corr.g_values, (acov / acov[0])[: n // 2 + 1])
+        assert np.array_equal(corr.xi_grid, np.arange(n // 2 + 1) * field.spacing)
+
+    def test_moments_match_extended_precision(self, field, reference):
+        report = gaussianity_check(field)
+        skewness, kurtosis = longdouble_moments(reference)
+        assert report.sample_count == reference.size
+        assert abs(report.skewness - skewness) < 1e-13
+        assert abs(report.excess_kurtosis - kurtosis) < 1e-13
+
+    def test_moments_across_uneven_blocks_with_offset_means(self):
+        # blocks of very different means and sizes exercise the merge terms
+        rng = np.random.default_rng(4)
+        rows = 2 * block_rows(256) + 5
+        values = rng.standard_normal((rows, 256)) ** 2 + np.repeat([0.0, 40.0, -7.0], [1024, 1024, 5])[:, None]
+        report = gaussianity_check(NoiseField(values=values, extent=24.0 * LC, lambda_c=LC, seed=0))
+        skewness, kurtosis = longdouble_moments(values)
+        assert report.skewness == pytest.approx(skewness, abs=1e-13)
+        assert report.excess_kurtosis == pytest.approx(kurtosis, abs=1e-13)
+
+    def test_constant_multi_block_field_is_degenerate(self):
+        values = np.full((2 * block_rows(256) + 1, 256), 0.7)
+        report = gaussianity_check(NoiseField(values=values, extent=24.0 * LC, lambda_c=LC, seed=0))
+        assert report.degenerate
+        assert not report.passed
+        assert report.sample_count == values.size
+
+    def test_streamed_report_equals_stored_field_report(self, cfg, field):
+        blocks = []
+        streamed = sample_report(cfg, on_block=lambda block: blocks.append(block.copy()))
+        assert streamed == build_sample_report(cfg, field)
+        assert [len(b) for b in blocks] == [block_rows(256), 3]
+        assert np.array_equal(np.concatenate(blocks), field.values)
+
+    def test_config_and_correlation_equal_unblocked_values(self, cfg, field):
+        report = json.loads(report_json_bytes(build_sample_report(cfg, field)))
+        assert report["config"] == UNBLOCKED_REPORT["config"]
+        assert report["correlation"] == UNBLOCKED_REPORT["correlation"]
