@@ -46,6 +46,7 @@ _HANDLED_ERRORS = (
     ImaginaryEnergy,
     WrongBranch,
     InsufficientTail,
+    OSError,
 )
 
 
@@ -92,7 +93,9 @@ def _render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit_table(args, command, meta, columns, rows, footer=None, footer_comments=()) -> None:
+def _emit_table(args, command, meta, columns, rows, footer=None) -> None:
+    """``footer`` maps names to floats: a JSON ``footer`` object, or CSV
+    ``# name = value`` lines after the rows."""
     if args.format == "json":
         doc = {"command": command, "units": args.units, "meta": meta, "columns": list(columns), "rows": [list(r) for r in rows]}
         if footer is not None:
@@ -100,14 +103,20 @@ def _emit_table(args, command, meta, columns, rows, footer=None, footer_comments
         _write_output(args.output, _render_json(doc))
     else:
         comments = [f"{key} = {value}" for key, value in meta.items()]
-        _write_output(args.output, _render_csv(comments, columns, rows, footer_comments))
+        footer_lines = [f"{key} = {_fmt(value)}" for key, value in (footer or {}).items()]
+        _write_output(args.output, _render_csv(comments, columns, rows, footer_lines))
+
+
+def _check_finite(values: dict) -> None:
+    """A DomainError naming the first entry of ``values`` (floats or arrays) that holds a non-finite value."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise DomainError(f"{name} leaves the double range at these inputs")
 
 
 def _finite_rows(columns: dict) -> list:
     """Rows of Python floats from named 1-D columns; a non-finite value is a DomainError, never a row."""
-    for name, values in columns.items():
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"{name} leaves the double range at these inputs")
+    _check_finite(columns)
     return np.column_stack(tuple(columns.values())).tolist()
 
 
@@ -183,7 +192,7 @@ def _cmd_photon_spectrum(args) -> int:
     }
     rows = _finite_rows(columns)
     meta = {"temp": args.temp, "units": args.units}
-    footer, footer_comments = None, ()
+    footer = None
     if args.points >= 2:
         peak = ms.wien_peak(temp)
         integral = float(np.trapezoid(rho, omega_grid))
@@ -193,12 +202,7 @@ def _cmd_photon_spectrum(args) -> int:
             "peak_omega": units.from_si(peak, "angular_frequency"),
             "integral": units.from_si(integral, "energy_density"),
         }
-        footer_comments = (
-            f"peak_omega = {_fmt(footer['peak_omega'])}",
-            f"integral = {_fmt(footer['integral'])}",
-        )
-    _emit_table(args, "photon-spectrum", meta, tuple(columns), rows,
-                footer=footer, footer_comments=footer_comments)
+    _emit_table(args, "photon-spectrum", meta, tuple(columns), rows, footer=footer)
     return 0
 
 
@@ -274,41 +278,39 @@ def _cmd_qpot(args) -> int:
     units = UnitSystem.parse(args.units)
     mass = units.to_si(args.mass, "mass")
     parsed = qp.read_density_csv(args.density)
-    density = parsed.density
-    if args.periodic:
-        density = dataclasses.replace(density, periodic=True)
-    length_scale = units.to_si(1.0, "length")
-    if length_scale != 1.0:
-        density = dataclasses.replace(density, spacing=density.spacing * length_scale)
-
-    if density.time_axis:
-        if args.dt is not None:
-            dt = units.to_si(args.dt, "time")
-        elif parsed.dt is not None:
-            dt = parsed.dt * units.to_si(1.0, "time")
+    density = dataclasses.replace(
+        parsed.density, periodic=args.periodic, spacing=parsed.density.spacing * units.to_si(1.0, "length")
+    )
+    # A value that leaves the double range is reported by _check_finite, not by numpy warnings.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if density.time_axis:
+            if args.dt is not None:
+                dt = units.to_si(args.dt, "time")
+            elif parsed.dt is not None:
+                dt = parsed.dt * units.to_si(1.0, "time")
+            else:
+                raise DomainError("time-dependent density requires --dt")
+            vqu = qp.vqu_grid_dalembert(density, mass, dt)
+            mean = qp.mean_qp_energy_dalembert(density, mass, dt)
+            names = ("t", "q")
+            axes = (("time", dt), ("length", density.spacing))
         else:
-            raise DomainError("time-dependent density requires --dt")
-        vqu = qp.vqu_grid_dalembert(density, mass, dt)
-        mean = qp.mean_qp_energy_dalembert(density, mass, dt)
-        columns = ("t", "q", "vqu")
-        axes = (("time", dt), ("length", density.spacing))
-    else:
-        vqu = qp.vqu_grid_nonrel(density, mass)
-        mean = qp.mean_qp_energy(density, mass)
-        columns = ("q", "vqu") if density.dims == 1 else ("qx", "qy", "qz", "vqu")
-        axes = (("length", density.spacing),) * density.dims
-    keep = np.isfinite(vqu)
-    coords = (units.to_si(origin, dim) + np.arange(n) * step
-              for origin, (dim, step), n in zip(parsed.origin, axes, vqu.shape))
-    grids = np.meshgrid(*coords, indexing="ij")
-    values = [units.from_si(grid[keep], dim) for grid, (dim, _) in zip(grids, axes)]
-    values.append(units.from_si(vqu[keep], "energy"))
-    rows = (row.tolist() for row in np.column_stack(values))
-    mean_out = units.from_si(mean, "energy")
+            vqu = qp.vqu_grid_nonrel(density, mass)
+            mean = qp.mean_qp_energy(density, mass)
+            names = ("q",) if density.dims == 1 else ("qx", "qy", "qz")
+            axes = (("length", density.spacing),) * density.dims
+        # The rows are exactly the points V_qu is evaluated at.
+        region = qp._region(density)
+        coords = ((units.to_si(origin, dim) + np.arange(n) * step)[r]
+                  for origin, (dim, step), n, r in zip(parsed.origin, axes, vqu.shape, region))
+        grids = np.meshgrid(*coords, indexing="ij")
+        columns = {name: units.from_si(grid.ravel(), dim) for name, grid, (dim, _) in zip(names, grids, axes)}
+        columns["vqu"] = units.from_si(vqu[region].ravel(), "energy")
+        footer = {"mean_qp_energy": units.from_si(mean, "energy")}
+    _check_finite(columns | footer)
+    rows = (row.tolist() for row in np.column_stack(tuple(columns.values())))
     meta = {"mass": args.mass, "units": args.units, "periodic": density.periodic}
-    _emit_table(args, "qpot", meta, columns, rows,
-                footer={"mean_qp_energy": mean_out},
-                footer_comments=(f"mean_qp_energy = {_fmt(mean_out)}",))
+    _emit_table(args, "qpot", meta, tuple(columns), rows, footer=footer)
     return 0
 
 
@@ -442,9 +444,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except _HANDLED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,12 @@ exactly as defined, without reconciliation.
 
 Differences always act on sqrt(n), never on n, so a constant amplitude
 factor cancels exactly.
+
+The points V_qu is evaluated at are decided in one place, ``_region``:
+the interior time slices, and the interior of each spatial axis, or all
+of it when the grid is periodic.  The stencil, the singular-density
+check and the weighted means all work on that region; the public grid
+functions return it padded with NaN to the grid's shape.
 """
 
 from __future__ import annotations
@@ -134,28 +140,45 @@ def vqu_traveling(mode: TravelingMode) -> float:
     return -(CONSTANTS.hbar**2 / mode.mass) * k**2 * (1.0 - mode.velocity_ratio**2)
 
 
-def _second_difference(arr: np.ndarray, h: float, axis: int, periodic: bool) -> np.ndarray:
-    """Central second difference along ``axis``; NaN on the boundary when
-    the axis is not periodic."""
-    if periodic:
-        return (np.roll(arr, -1, axis) - 2.0 * arr + np.roll(arr, 1, axis)) / h**2
-    out = np.full_like(arr, np.nan)
-    mid = [slice(None)] * arr.ndim
-    up = [slice(None)] * arr.ndim
-    dn = [slice(None)] * arr.ndim
-    mid[axis] = slice(1, -1)
-    up[axis] = slice(2, None)
-    dn[axis] = slice(None, -2)
-    out[tuple(mid)] = (arr[tuple(up)] - 2.0 * arr[tuple(mid)] + arr[tuple(dn)]) / h**2
-    return out
+def _region(density: GridDensity) -> tuple[slice, ...]:
+    """Index of the grid points V_qu is evaluated at: the interior time
+    slices, and on each spatial axis the interior points, or every point
+    when the grid is periodic."""
+    spatial = slice(None) if density.periodic else slice(1, -1)
+    return tuple(
+        slice(1, -1) if density.time_axis and axis == 0 else spatial
+        for axis in range(density.values.ndim)
+    )
 
 
-def _check_singular(values: np.ndarray, eval_mask: np.ndarray) -> None:
-    threshold = SINGULAR_FRACTION * float(values.max(initial=0.0))
-    bad = eval_mask & (values < threshold)
+def _second_difference(s: np.ndarray, region: tuple[slice, ...], axis: int, h: float) -> np.ndarray:
+    """Central second difference along ``axis`` at the points of ``region``.
+
+    ``np.roll`` wraps the neighbours of an axis the region covers whole
+    (periodic); on any other axis the region stops one point short of
+    either end, so no wrapped neighbour is read.
+    """
+    return (np.roll(s, -1, axis)[region] - 2.0 * s[region] + np.roll(s, 1, axis)[region]) / h**2
+
+
+def _vqu_region(density: GridDensity, coef: float, dt: float | None = None) -> np.ndarray:
+    """-coef * D(sqrt(n)) / sqrt(n) on ``_region(density)``, where D is the
+    Laplacian, or (1/c^2) d^2/dt^2 minus the Laplacian when ``dt`` is given.
+
+    Raises SingularDensity, with the full-grid index, at the first region
+    point whose density is below ``SINGULAR_FRACTION`` of the grid maximum.
+    """
+    region = _region(density)
+    threshold = SINGULAR_FRACTION * float(density.values.max(initial=0.0))
+    bad = density.values[region] < threshold
     if np.any(bad):
-        index = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise SingularDensity(index)
+        first = np.argwhere(bad)[0]
+        raise SingularDensity(tuple(int(i) + (r.start or 0) for i, r in zip(first, region)))
+    s = np.sqrt(density.values)
+    op = sum(_second_difference(s, region, axis, density.spacing) for axis in density.spatial_axes)
+    if dt is not None:
+        op = _second_difference(s, region, 0, dt) / CONSTANTS.c**2 - op
+    return -coef * op / s[region]
 
 
 def vqu_grid_nonrel(density: GridDensity, mass: float) -> np.ndarray:
@@ -170,16 +193,8 @@ def vqu_grid_nonrel(density: GridDensity, mass: float) -> np.ndarray:
         raise DomainError("mass must be finite and > 0")
     if density.time_axis:
         raise DomainError("density has a time axis; use vqu_grid_dalembert")
-    s = np.sqrt(density.values)
-    lap = np.zeros_like(s)
-    for axis in density.spatial_axes:
-        lap = lap + _second_difference(s, density.spacing, axis, density.periodic)
-    eval_mask = np.isfinite(lap)
-    _check_singular(density.values, eval_mask)
-    out = np.full_like(s, np.nan)
-    out[eval_mask] = (
-        -(CONSTANTS.hbar**2 / (2.0 * mass)) * lap[eval_mask] / s[eval_mask]
-    )
+    out = np.full_like(density.values, np.nan)
+    out[_region(density)] = _vqu_region(density, CONSTANTS.hbar**2 / (2.0 * mass))
     return out
 
 
@@ -199,35 +214,32 @@ def vqu_grid_dalembert(density: GridDensity, mass: float, dt: float) -> np.ndarr
         raise DomainError("need at least 3 time slices")
     if not (math.isfinite(dt) and dt > 0.0):
         raise DomainError("dt must be finite and > 0")
-    s = np.sqrt(density.values)
-    d2t = _second_difference(s, dt, 0, periodic=False)
-    lap = np.zeros_like(s)
-    for axis in density.spatial_axes:
-        lap = lap + _second_difference(s, density.spacing, axis, density.periodic)
-    box = d2t / CONSTANTS.c**2 - lap
-    eval_mask = np.isfinite(box)
-    _check_singular(density.values, eval_mask)
-    out = np.full_like(s, np.nan)
-    out[eval_mask] = -(CONSTANTS.hbar**2 / mass) * box[eval_mask] / s[eval_mask]
+    out = np.full_like(density.values, np.nan)
+    out[_region(density)] = _vqu_region(density, CONSTANTS.hbar**2 / mass, dt)
     return out
 
 
-def _integrate(arr: np.ndarray, h: float, periodic: bool) -> float:
-    """Integral over all axes of ``arr``: rectangle rule for periodic data
+def _integrate(arr: np.ndarray, axes: tuple[int, ...], h: float, periodic: bool) -> np.ndarray:
+    """Integral of ``arr`` over ``axes``: rectangle rule for periodic data
     (exact on the closed loop), trapezoid otherwise."""
     if periodic:
-        return float(arr.sum()) * h**arr.ndim
-    out = arr
-    for axis in reversed(range(arr.ndim)):
-        out = np.trapezoid(out, dx=h, axis=axis)
-    return float(out)
+        return arr.sum(axis=axes) * h**len(axes)
+    for axis in reversed(axes):
+        arr = np.trapezoid(arr, dx=h, axis=axis)
+    return arr
 
 
-def _weighted_mean(n_region: np.ndarray, v_region: np.ndarray, h: float, periodic: bool) -> float:
-    norm = _integrate(n_region, h, periodic)
-    if not norm > 0.0:
+def _region_mean(density: GridDensity, vqu: np.ndarray) -> float:
+    """Mean over time slices of the density-weighted spatial mean of V_qu,
+    both taken over ``_region(density)``; a grid without a time axis is
+    one slice."""
+    region = _region(density)
+    n = density.values[region]
+    axes = density.spatial_axes
+    norm = _integrate(n, axes, density.spacing, density.periodic)
+    if not np.all(norm > 0.0):
         raise DomainError("density integrates to zero over the evaluated region")
-    return _integrate(n_region * v_region, h, periodic) / norm
+    return float(np.mean(_integrate(n * vqu[region], axes, density.spacing, density.periodic) / norm))
 
 
 def mean_qp_energy(density: GridDensity, mass: float) -> float:
@@ -239,15 +251,7 @@ def mean_qp_energy(density: GridDensity, mass: float) -> float:
     """
     if density.time_axis:
         raise DomainError("density has a time axis; use mean_qp_energy_dalembert")
-    vqu = vqu_grid_nonrel(density, mass)
-    if density.periodic:
-        n_region = density.values
-        v_region = vqu
-    else:
-        interior = tuple(slice(1, -1) for _ in range(density.values.ndim))
-        n_region = density.values[interior]
-        v_region = vqu[interior]
-    return _weighted_mean(n_region, v_region, density.spacing, density.periodic)
+    return _region_mean(density, vqu_grid_nonrel(density, mass))
 
 
 def mean_qp_energy_dalembert(density: GridDensity, mass: float, dt: float) -> float:
@@ -257,17 +261,7 @@ def mean_qp_energy_dalembert(density: GridDensity, mass: float, dt: float) -> fl
     weight (normalized per slice); the slice means are then averaged over
     time.
     """
-    vqu = vqu_grid_dalembert(density, mass, dt)
-    slice_means = []
-    for i in range(1, density.values.shape[0] - 1):
-        n_slice = density.values[i]
-        v_slice = vqu[i]
-        if not density.periodic:
-            interior = tuple(slice(1, -1) for _ in range(n_slice.ndim))
-            n_slice = n_slice[interior]
-            v_slice = v_slice[interior]
-        slice_means.append(_weighted_mean(n_slice, v_slice, density.spacing, density.periodic))
-    return float(np.mean(slice_means))
+    return _region_mean(density, vqu_grid_dalembert(density, mass, dt))
 
 
 # ---------------------------------------------------------------------------

@@ -195,20 +195,14 @@ def _mode_coefficients(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return coeff * np.sqrt(weights)
 
 
-def _field_blocks(config: SamplerConfig, spectrum_fn=None) -> Iterator[np.ndarray]:
+def _field_blocks(config: SamplerConfig) -> Iterator[np.ndarray]:
     """Realizations 0 .. config.realizations - 1 in consecutive blocks of
     ``block_rows(config.grid_points)`` rows (the last may be shorter)."""
     n = config.grid_points
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=config.spacing)
-    if spectrum_fn is None:
-        weights = gaussian_spectrum(k, config.lambda_c)
-    else:
-        weights = np.asarray(spectrum_fn(k), dtype=float)
-        if weights.shape != k.shape or np.any(~np.isfinite(weights)) or np.any(weights < 0.0):
-            raise ConfigError("spectrum_fn must return finite non-negative weights per mode")
+    weights = gaussian_spectrum(k, config.lambda_c)
+    # weights[0] = 1 (k = 0), so total >= 1.
     total = weights[0] + 2.0 * weights[1:-1].sum() + weights[-1]
-    if not total > 0.0:
-        raise ConfigError("spectrum is identically zero")
     # Scale so the synthesized field has unit variance.
     amplitude = n / math.sqrt(total)
     # One Philox re-keyed per realization draws the same stream as
@@ -231,17 +225,14 @@ def _field_blocks(config: SamplerConfig, spectrum_fn=None) -> Iterator[np.ndarra
         yield block
 
 
-def sample_field(config: SamplerConfig, spectrum_fn=None) -> NoiseField:
-    """Draw ``config.realizations`` independent field realizations.
-
-    ``spectrum_fn`` maps a wavenumber array to non-negative spectral
-    weights; it defaults to the Gaussian vacuum spectrum at
-    ``config.lambda_c``.  Passing ``lambda k: np.ones_like(k)`` yields
-    spatially white noise.  Output is deterministic in (seed, config).
+def sample_field(config: SamplerConfig) -> NoiseField:
+    """Draw ``config.realizations`` independent field realizations with
+    the Gaussian vacuum spectrum at ``config.lambda_c``.  Output is
+    deterministic in (seed, config).
     """
     values = np.empty((config.realizations, config.grid_points))
     start = 0
-    for block in _field_blocks(config, spectrum_fn):
+    for block in _field_blocks(config):
         values[start : start + len(block)] = block
         start += len(block)
     return NoiseField(values=values, extent=config.extent, lambda_c=config.lambda_c, seed=config.seed)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from qvac.sampler import block_rows
 
 KB = CONSTANTS.k_boltzmann
 HBAR = CONSTANTS.hbar
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -388,6 +390,17 @@ class TestQpot:
         assert code == 2
         assert out == ""
         assert err == "error: dt must be finite and > 0\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        (("density_q.csv", "--mass", "1e-300", "--units", "Natural"), "vqu"),
+        (("density_xyz.csv", "--mass", "4e-297", "--units", "Natural", "--periodic"), "mean_qp_energy"),
+    ])
+    def test_overflow_exits_two(self, capsys, argv, name):
+        # Every V_qu overflows in the first case; only the mean does in the second.
+        code, out, err = run_cli(capsys, "qpot", str(GOLDEN / argv[0]), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name} leaves the double range at these inputs\n"
 
     def test_3d_file(self, tmp_path, capsys):
         n = 8

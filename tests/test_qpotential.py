@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -229,6 +230,85 @@ class TestGridDalembert:
             vqu_grid_dalembert(dens, self.mass, 0.0)
         with pytest.raises(DomainError):
             vqu_grid_nonrel(dens, self.mass)
+
+
+def _evaluated(shape, periodic, time_axis):
+    """Mask of the points V_qu is evaluated at, built axis by axis: the
+    interior time slices, and each spatial axis whole when periodic, its
+    interior otherwise."""
+    on_axis = []
+    for axis, n in enumerate(shape):
+        mask = np.ones(n, dtype=bool)
+        if (time_axis and axis == 0) or not periodic:
+            mask[[0, -1]] = False
+        on_axis.append(mask)
+    return functools.reduce(np.logical_and.outer, on_axis)
+
+
+def _loop_mean(dens, vqu):
+    """Per-slice weighted mean, slice by slice in Python (the reference
+    for the vectorized ``mean_qp_energy_dalembert``)."""
+
+    def integrate(arr):
+        if dens.periodic:
+            return float(arr.sum()) * dens.spacing**arr.ndim
+        for axis in reversed(range(arr.ndim)):
+            arr = np.trapezoid(arr, dx=dens.spacing, axis=axis)
+        return float(arr)
+
+    means = []
+    for n, v in zip(dens.values[1:-1], vqu[1:-1]):
+        if not dens.periodic:
+            interior = (slice(1, -1),) * n.ndim
+            n, v = n[interior], v[interior]
+        means.append(integrate(n * v) / integrate(n))
+    return float(np.mean(means))
+
+
+class TestEvaluatedRegion:
+    """One region per layout: the interior time slices and, on each spatial
+    axis, the interior points, or every point of a periodic grid."""
+
+    LAYOUTS = [((40,), 1, False), ((9, 10, 11), 3, False), ((5, 12), 1, True)]
+
+    @pytest.mark.parametrize("periodic, expected", [(False, (3, 4, 2)), (True, (1, 0, 5))])
+    def test_singular_index_is_the_full_grid_index_3d(self, periodic, expected):
+        values = np.ones((9, 10, 11))
+        values[1, 0, 5] = values[3, 4, 2] = 0.0
+        with pytest.raises(SingularDensity) as excinfo:
+            vqu_grid_nonrel(GridDensity(values, 0.1, dims=3, periodic=periodic), ELECTRON_MASS)
+        assert excinfo.value.index == expected
+
+    @pytest.mark.parametrize("periodic, expected", [(False, (3, 6)), (True, (2, 0))])
+    def test_singular_index_is_the_full_grid_index_spacetime(self, periodic, expected):
+        values = np.ones((5, 12))
+        for point in ((0, 5), (2, 0), (3, 6), (4, 3)):
+            values[point] = 0.0
+        dens = GridDensity(values, 0.1, dims=1, periodic=periodic, time_axis=True)
+        with pytest.raises(SingularDensity) as excinfo:
+            vqu_grid_dalembert(dens, ELECTRON_MASS, 1e-3)
+        assert excinfo.value.index == expected
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("shape, dims, time_axis", LAYOUTS)
+    def test_nan_exactly_off_the_region(self, shape, dims, time_axis, periodic):
+        values = np.random.default_rng(0).uniform(0.5, 1.5, shape)
+        dens = GridDensity(values, 0.1, dims=dims, periodic=periodic, time_axis=time_axis)
+        if time_axis:
+            v = vqu_grid_dalembert(dens, ELECTRON_MASS, 1e-3)
+        else:
+            v = vqu_grid_nonrel(dens, ELECTRON_MASS)
+        evaluated = _evaluated(shape, periodic, time_axis)
+        assert np.array_equal(np.isnan(v), ~evaluated)
+        assert np.all(np.isfinite(v[evaluated]))
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("shape, dims", [((7, 40), 1), ((4, 8, 9, 10), 3)])
+    def test_spacetime_mean_equals_the_per_slice_loop(self, shape, dims, periodic):
+        values = np.random.default_rng(1).uniform(0.5, 1.5, shape)
+        dens = GridDensity(values, 0.1, dims=dims, periodic=periodic, time_axis=True)
+        vqu = vqu_grid_dalembert(dens, ELECTRON_MASS, 1e-3)
+        assert mean_qp_energy_dalembert(dens, ELECTRON_MASS, 1e-3) == _loop_mean(dens, vqu)
 
 
 class TestMeanEnergy:
