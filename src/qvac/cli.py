@@ -5,8 +5,10 @@ single JSON document, suitable for piping into external plotting tools.
 
 CSV conventions: ``.`` decimal separator, ``,`` field separator,
 ``#``-prefixed comment lines for metadata and footers, scientific notation
-with 17 significant digits (lossless for doubles).  Warnings go to stderr,
-never into the data stream.
+with 17 significant digits (lossless for doubles), byte for byte what
+``"%.16e" % x`` (C's ``%.16e``) gives.  Rows are rendered and written in
+blocks of RENDER_ROWS, so the rendered text never outgrows one block.
+Warnings go to stderr, never into the data stream.
 
 Exit codes: 0 success, 1 usage error, 2 domain/config error.
 """
@@ -14,6 +16,7 @@ Exit codes: 0 success, 1 usage error, 2 domain/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -26,6 +29,7 @@ from . import blackhole as bh
 from . import correlation as corr
 from . import modestats as ms
 from . import qpotential as qp
+from . import render
 from . import sampler as smp
 from .constants import CONSTANTS, ThermalState, UnitSystem, compton_wavenumber
 from .errors import (
@@ -38,6 +42,9 @@ from .errors import (
 )
 
 _FLOAT_FMT = "%.16e"
+
+#: Rows per rendered and written block of a CSV table.
+RENDER_ROWS = 2**16
 
 _HANDLED_ERRORS = (
     DomainError,
@@ -66,45 +73,51 @@ def _fmt(value: float) -> str:
     return _FLOAT_FMT % float(value)
 
 
-def _write_output(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _open_output(path: str | None):
+    """A binary handle on ``path``, or on stdout for None or ``-``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        yield sys.stdout.buffer
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            yield fh
 
 
-def _csv_lines(width: int, rows):
-    """One CSV data line per row, each row a sequence of ``width`` Python floats."""
-    line_fmt = ",".join([_FLOAT_FMT] * width)
-    return (line_fmt % tuple(row) for row in rows)
+def _write_output(path: str | None, text: str) -> None:
+    with _open_output(path) as fh:
+        fh.write(text.encode())
 
 
-def _render_csv(comments, columns, rows, footer_comments=()) -> str:
-    """``rows`` is an iterable of rows, each a sequence of Python floats."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    lines.extend(_csv_lines(len(columns), rows))
-    lines.extend(f"# {c}" for c in footer_comments)
-    return "\n".join(lines) + "\n"
+def _csv_header(comments, names) -> bytes:
+    return ("".join(f"# {c}\n" for c in comments) + ",".join(names) + "\n").encode()
 
 
 def _render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit_table(args, command, meta, columns, rows, footer=None) -> None:
-    """``footer`` maps names to floats: a JSON ``footer`` object, or CSV
-    ``# name = value`` lines after the rows."""
+def _emit_table(args, command, meta, columns: dict, footer=None) -> None:
+    """Write the named equal-length 1-D float64 ``columns`` as a table.
+
+    ``footer`` maps names to floats: a JSON ``footer`` object, or CSV
+    ``# name = value`` lines after the rows.  CSV rows are rendered and
+    written RENDER_ROWS at a time.
+    """
+    arrays = list(columns.values())
     if args.format == "json":
-        doc = {"command": command, "units": args.units, "meta": meta, "columns": list(columns), "rows": [list(r) for r in rows]}
+        doc = {"command": command, "units": args.units, "meta": meta, "columns": list(columns),
+               "rows": np.column_stack(arrays).tolist()}
         if footer is not None:
             doc["footer"] = footer
         _write_output(args.output, _render_json(doc))
-    else:
-        comments = [f"{key} = {value}" for key, value in meta.items()]
-        footer_lines = [f"{key} = {_fmt(value)}" for key, value in (footer or {}).items()]
-        _write_output(args.output, _render_csv(comments, columns, rows, footer_lines))
+        return
+    comments = [f"{key} = {value}" for key, value in meta.items()]
+    with _open_output(args.output) as fh:
+        fh.write(_csv_header(comments, columns))
+        for start in range(0, len(arrays[0]), RENDER_ROWS):
+            fh.write(render.csv_rows(np.column_stack([a[start:start + RENDER_ROWS] for a in arrays])))
+        fh.write("".join(f"# {key} = {_fmt(value)}\n" for key, value in (footer or {}).items()).encode())
 
 
 def _check_finite(values: dict) -> None:
@@ -112,12 +125,6 @@ def _check_finite(values: dict) -> None:
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise DomainError(f"{name} leaves the double range at these inputs")
-
-
-def _finite_rows(columns: dict) -> list:
-    """Rows of Python floats from named 1-D columns; a non-finite value is a DomainError, never a row."""
-    _check_finite(columns)
-    return np.column_stack(tuple(columns.values())).tolist()
 
 
 def _warn(message: str) -> None:
@@ -145,7 +152,7 @@ def _cmd_spectrum(args) -> int:
         )
     if not 0.0 < k_min <= k_max < math.inf:
         raise DomainError("k_min must satisfy 0 < k_min <= k_max < inf (after any clamping)")
-    # A column that leaves the double range is reported by _finite_rows, not by numpy warnings.
+    # A column that leaves the double range is reported by _check_finite, not by numpy warnings.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         point = ms.spectral_density_massive(np.geomspace(k_min, k_max, args.points), state)
         wavelength = 2.0 * math.pi / point.k
@@ -164,7 +171,8 @@ def _cmd_spectrum(args) -> int:
         "units": args.units,
         "compton_wavenumber": units.from_si(k_c, "wavenumber"),
     }
-    _emit_table(args, "spectrum", meta, tuple(columns), _finite_rows(columns))
+    _check_finite(columns)
+    _emit_table(args, "spectrum", meta, columns)
     return 0
 
 
@@ -190,7 +198,7 @@ def _cmd_photon_spectrum(args) -> int:
         "mean_energy": units.from_si(mean, "energy"),
         "spectral_density": units.from_si(rho, "spectral_density_frequency"),
     }
-    rows = _finite_rows(columns)
+    _check_finite(columns)
     meta = {"temp": args.temp, "units": args.units}
     footer = None
     if args.points >= 2:
@@ -202,7 +210,7 @@ def _cmd_photon_spectrum(args) -> int:
             "peak_omega": units.from_si(peak, "angular_frequency"),
             "integral": units.from_si(integral, "energy_density"),
         }
-    _emit_table(args, "photon-spectrum", meta, tuple(columns), rows, footer=footer)
+    _emit_table(args, "photon-spectrum", meta, columns, footer=footer)
     return 0
 
 
@@ -237,7 +245,8 @@ def _cmd_correlation(args) -> int:
         if math.isfinite(numeric.lambda_c)
         else None,
     }
-    _emit_table(args, "correlation", meta, tuple(columns), _finite_rows(columns))
+    _check_finite(columns)
+    _emit_table(args, "correlation", meta, columns)
     return 0
 
 
@@ -251,14 +260,9 @@ def _cmd_sample(args) -> int:
     else:
         # The realizations CSV is written block by block as the estimators consume them.
         comments = [f"{key} = {value}" for key, value in config.as_dict().items()]
-        columns = [f"x{i}" for i in range(config.grid_points)]
-        with open(args.field_out, "w") as fh:
-
-            def write_rows(block):
-                fh.writelines(line + "\n" for line in _csv_lines(len(columns), block.tolist()))
-
-            fh.write(_render_csv(comments, columns, ()))
-            report = smp.sample_report(config, write_rows)
+        with open(args.field_out, "wb") as fh:
+            fh.write(_csv_header(comments, (f"x{i}" for i in range(config.grid_points))))
+            report = smp.sample_report(config, lambda block: fh.write(render.csv_rows(block)))
     with open(args.report_out, "wb") as fh:
         fh.write(smp.report_json_bytes(report))
     summary = "pass" if report["pass"] else "FAIL"
@@ -308,9 +312,8 @@ def _cmd_qpot(args) -> int:
         columns["vqu"] = units.from_si(vqu[region].ravel(), "energy")
         footer = {"mean_qp_energy": units.from_si(mean, "energy")}
     _check_finite(columns | footer)
-    rows = (row.tolist() for row in np.column_stack(tuple(columns.values())))
     meta = {"mass": args.mass, "units": args.units, "periodic": density.periodic}
-    _emit_table(args, "qpot", meta, tuple(columns), rows, footer=footer)
+    _emit_table(args, "qpot", meta, columns, footer=footer)
     return 0
 
 

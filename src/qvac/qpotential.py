@@ -41,8 +41,8 @@ import numpy as np
 from .constants import CONSTANTS
 from .errors import DomainError, SingularDensity
 
-#: Evaluation points with density below this fraction of the grid maximum
-#: are treated as nodes (where V_qu genuinely diverges).
+#: Evaluation points with zero density, or density below this fraction of
+#: the grid maximum, are treated as nodes (where V_qu genuinely diverges).
 SINGULAR_FRACTION = 1e-12
 
 #: Minimum number of samples per spatial axis.
@@ -166,11 +166,13 @@ def _vqu_region(density: GridDensity, coef: float, dt: float | None = None) -> n
     Laplacian, or (1/c^2) d^2/dt^2 minus the Laplacian when ``dt`` is given.
 
     Raises SingularDensity, with the full-grid index, at the first region
-    point whose density is below ``SINGULAR_FRACTION`` of the grid maximum.
+    point whose density is zero or below ``SINGULAR_FRACTION`` of the grid
+    maximum (an all-zero grid is singular at its first region point).
     """
     region = _region(density)
     threshold = SINGULAR_FRACTION * float(density.values.max(initial=0.0))
-    bad = density.values[region] < threshold
+    n = density.values[region]
+    bad = (n <= 0.0) | (n < threshold)
     if np.any(bad):
         first = np.argwhere(bad)[0]
         raise SingularDensity(tuple(int(i) + (r.start or 0) for i, r in zip(first, region)))
@@ -187,7 +189,7 @@ def vqu_grid_nonrel(density: GridDensity, mass: float) -> np.ndarray:
     Evaluated with second-order central differences at every grid point of
     a periodic grid, or at interior points otherwise (boundary entries are
     NaN).  Raises SingularDensity if the density at an evaluation point is
-    below ``SINGULAR_FRACTION`` of the grid maximum.
+    zero or below ``SINGULAR_FRACTION`` of the grid maximum.
     """
     if not (math.isfinite(mass) and mass > 0.0):
         raise DomainError("mass must be finite and > 0")

@@ -3,10 +3,21 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qvac import CONSTANTS, ELECTRON_MASS, SamplerConfig, modestats, sample_field
-from qvac.cli import _render_csv, main
+from qvac import (
+    CONSTANTS,
+    ELECTRON_MASS,
+    SamplerConfig,
+    mean_qp_energy,
+    modestats,
+    read_density_csv,
+    sample_field,
+    vqu_grid_nonrel,
+)
+from qvac import cli
+from qvac.cli import RENDER_ROWS, main
 from qvac.sampler import block_rows
 
 KB = CONSTANTS.k_boltzmann
@@ -18,6 +29,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def percent_csv(comments, columns, rows, footer=()):
+    """A CSV document rendered value by value with ``%.16e``: the reference
+    for the array renderer."""
+    lines = [f"# {c}" for c in comments] + [",".join(columns)]
+    lines += [",".join("%.16e" % v for v in row) for row in rows]
+    lines += [f"# {c}" for c in footer]
+    return "\n".join(lines) + "\n"
 
 
 def parse_csv(text):
@@ -284,7 +304,7 @@ class TestSample:
         assert err.startswith("error: grid spacing") and "double range" in err
 
     def test_streamed_field_csv_equals_one_shot_render(self, tmp_path, capsys):
-        realizations = block_rows(256) + 3
+        realizations = 2 * block_rows(256) + 3  # three blocks, the last partial
         cfg = self._write_config(tmp_path, realizations=realizations)
         field_path = tmp_path / "field.csv"
         code, _, _ = run_cli(
@@ -294,7 +314,7 @@ class TestSample:
         config = SamplerConfig(**json.loads(cfg.read_text()))
         comments = [f"{key} = {value}" for key, value in config.as_dict().items()]
         columns = [f"x{i}" for i in range(256)]
-        expected = _render_csv(comments, columns, sample_field(config).values.tolist())
+        expected = percent_csv(comments, columns, sample_field(config).values.tolist())
         assert field_path.read_text() == expected
 
     def test_memory_is_bounded_by_the_block(self, tmp_path, capsys):
@@ -311,6 +331,16 @@ class TestSample:
         one_block = traced_peak(block_rows(256))
         eight_blocks = traced_peak(8 * block_rows(256))
         assert eight_blocks <= 1.5 * one_block, (one_block, eight_blocks)
+
+
+@pytest.fixture(scope="module")
+def long_density(tmp_path_factory):
+    """A 1-D density file whose interior spans four RENDER_ROWS blocks and
+    part of a fifth."""
+    path = tmp_path_factory.mktemp("long") / "density.csv"
+    n = 1.5 + np.sin(np.arange(4 * RENDER_ROWS + 1002) / 37.0)
+    path.write_text("q,n\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(n.tolist())))
+    return str(path)
 
 
 class TestQpot:
@@ -348,6 +378,13 @@ class TestQpot:
         code, _, err = run_cli(capsys, "qpot", path, "--mass", "1")
         assert code == 2
         assert "(7,)" in err
+
+    def test_all_zero_density_exits_two(self, tmp_path, capsys):
+        path = self._write(tmp_path, "zero.csv", ["q,n"] + [f"{i},0" for i in range(16)])
+        code, out, err = run_cli(capsys, "qpot", path, "--mass", "1", "--units", "Natural")
+        assert code == 2
+        assert out == ""
+        assert err == "error: density is singular (below threshold) at grid point (1,)\n"
 
     def test_lightlike_spacetime_file(self, tmp_path, capsys):
         points = 64
@@ -401,6 +438,35 @@ class TestQpot:
         assert code == 2
         assert out == ""
         assert err == f"error: {name} leaves the double range at these inputs\n"
+
+    def test_long_grid_csv_equals_percent_reference(self, tmp_path, long_density):
+        out = tmp_path / "vqu.csv"
+        assert main(["qpot", long_density, "--mass", repr(ELECTRON_MASS), "--output", str(out)]) == 0
+        parsed = read_density_csv(long_density)
+        vqu = vqu_grid_nonrel(parsed.density, ELECTRON_MASS)
+        q = parsed.origin[0] + np.arange(vqu.size) * parsed.density.spacing
+        rows = np.column_stack([q, vqu])[1:-1].tolist()
+        assert len(rows) > 4 * RENDER_ROWS
+        mean = mean_qp_energy(parsed.density, ELECTRON_MASS)
+        comments = [f"mass = {ELECTRON_MASS}", "units = SI", "periodic = False"]
+        assert out.read_text() == percent_csv(comments, ["q", "vqu"], rows, [f"mean_qp_energy = {mean:.16e}"])
+
+    def test_csv_output_memory_is_bounded_by_the_block(self, tmp_path, long_density, monkeypatch):
+        # Rendering and writing hold one block of rows, not the whole table.
+        emit_table, peaks = cli._emit_table, []
+
+        def traced_emit_table(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                emit_table(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_emit_table", traced_emit_table)
+        out = tmp_path / "vqu.csv"
+        assert main(["qpot", long_density, "--mass", repr(ELECTRON_MASS), "--output", str(out)]) == 0
+        assert peaks[0] < out.stat().st_size / 2, (peaks, out.stat().st_size)
 
     def test_3d_file(self, tmp_path, capsys):
         n = 8

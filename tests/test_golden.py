@@ -4,7 +4,8 @@ The inputs and expected outputs live in ``tests/golden/``.  The outputs
 were captured from the CLI before its renderers, the ``qpot`` ingest and
 the spectrum formulas were rewritten array-first, so any change in a
 rendered byte (digits, row order, NaN filtering, unit conversion, the
-last bit of an exponential) fails here.  To re-capture
+last bit of an exponential) fails here; ``sample_report.json`` holds the
+estimator report of ``sampler.json`` byte for byte.  To re-capture
 after a deliberate format change, run ``python tests/test_golden.py``
 from the repository root with ``src`` on the import path.
 """
@@ -56,13 +57,16 @@ CASES = {
     "blackhole_report.txt": ["blackhole", "1.0"],
     "blackhole_threshold.txt": ["blackhole", "--threshold"],
     "sample_field.csv": ["sample", "{g}/sampler.json", "--report-out", "{tmp}/report.json"],
+    "sample_report.json": ["sample", "{g}/sampler.json", "--field-out", "{tmp}/field.csv"],
 }
+
+#: The output flag of each case whose output is not ``--output``.
+OUTPUT_FLAG = {"sample_field.csv": "--field-out", "sample_report.json": "--report-out"}
 
 
 def _argv(name: str, out: Path, tmp: Path) -> list[str]:
     argv = [arg.format(g=GOLDEN, tmp=tmp) for arg in CASES[name]]
-    flag = "--field-out" if argv[0] == "sample" else "--output"
-    return argv + [flag, str(out)]
+    return argv + [OUTPUT_FLAG.get(name, "--output"), str(out)]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -289,6 +289,19 @@ class TestEvaluatedRegion:
             vqu_grid_dalembert(dens, ELECTRON_MASS, 1e-3)
         assert excinfo.value.index == expected
 
+    @pytest.mark.parametrize("periodic, expected", [(False, (1,)), (True, (0,))])
+    def test_all_zero_density_is_singular_nonrel(self, periodic, expected):
+        with pytest.raises(SingularDensity) as excinfo:
+            vqu_grid_nonrel(GridDensity(np.zeros(16), 0.1, periodic=periodic), 1e-30)
+        assert excinfo.value.index == expected
+
+    @pytest.mark.parametrize("periodic, expected", [(False, (1, 1)), (True, (1, 0))])
+    def test_all_zero_density_is_singular_dalembert(self, periodic, expected):
+        dens = GridDensity(np.zeros((5, 16)), 0.1, periodic=periodic, time_axis=True)
+        with pytest.raises(SingularDensity) as excinfo:
+            vqu_grid_dalembert(dens, 1e-30, 1e-3)
+        assert excinfo.value.index == expected
+
     @pytest.mark.parametrize("periodic", [False, True])
     @pytest.mark.parametrize("shape, dims, time_axis", LAYOUTS)
     def test_nan_exactly_off_the_region(self, shape, dims, time_axis, periodic):
