@@ -97,26 +97,35 @@ def _render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _emit_table(args, command, meta, columns: dict, footer=None) -> None:
+def _emit_table(args, command, meta, columns: dict, footer=None, axes: dict | None = None) -> None:
     """Write the named equal-length 1-D float64 ``columns`` as a table.
 
-    ``footer`` maps names to floats: a JSON ``footer`` object, or CSV
-    ``# name = value`` lines after the rows.  CSV rows are rendered and
-    written RENDER_ROWS at a time.
+    ``axes``, when given, maps the names of the leading columns to 1-D
+    coordinate axes of a row-major grid (the last fastest) whose cells are
+    the rows: row r holds the coordinates of cell r, then ``columns`` at r.
+    CSV passes the axes to ``render.csv_rows``, which formats the axis
+    values a pass touches and copies their text to the rows that repeat
+    them, so no grid-sized coordinate column is built; JSON materialises
+    the coordinates.  ``footer`` maps names to floats: a JSON ``footer``
+    object, or CSV ``# name = value`` lines after the rows.  CSV rows are
+    rendered and written RENDER_ROWS at a time.
     """
-    arrays = list(columns.values())
+    axes = axes or {}
+    arrays, grid = list(columns.values()), tuple(axes.values())
     if args.format == "json":
-        doc = {"command": command, "units": args.units, "meta": meta, "columns": list(columns),
-               "rows": np.column_stack(arrays).tolist()}
+        coords = [c.ravel() for c in np.meshgrid(*grid, indexing="ij")]
+        doc = {"command": command, "units": args.units, "meta": meta, "columns": [*axes, *columns],
+               "rows": np.column_stack(coords + arrays).tolist()}
         if footer is not None:
             doc["footer"] = footer
         _write_output(args.output, _render_json(doc))
         return
     comments = [f"{key} = {value}" for key, value in meta.items()]
     with _open_output(args.output) as fh:
-        fh.write(_csv_header(comments, columns))
+        fh.write(_csv_header(comments, [*axes, *columns]))
         for start in range(0, len(arrays[0]), RENDER_ROWS):
-            fh.write(render.csv_rows(np.column_stack([a[start:start + RENDER_ROWS] for a in arrays])))
+            block = np.column_stack([a[start:start + RENDER_ROWS] for a in arrays])
+            fh.write(render.csv_rows(block, grid, start))
         fh.write("".join(f"# {key} = {_fmt(value)}\n" for key, value in (footer or {}).items()).encode())
 
 
@@ -297,23 +306,21 @@ def _cmd_qpot(args) -> int:
             vqu = qp.vqu_grid_dalembert(density, mass, dt)
             mean = qp.mean_qp_energy_dalembert(density, mass, dt)
             names = ("t", "q")
-            axes = (("time", dt), ("length", density.spacing))
+            steps = (("time", dt), ("length", density.spacing))
         else:
             vqu = qp.vqu_grid_nonrel(density, mass)
             mean = qp.mean_qp_energy(density, mass)
             names = ("q",) if density.dims == 1 else ("qx", "qy", "qz")
-            axes = (("length", density.spacing),) * density.dims
-        # The rows are exactly the points V_qu is evaluated at.
+            steps = (("length", density.spacing),) * density.dims
+        # The rows are exactly the points V_qu is evaluated at, in row-major order.
         region = qp._region(density)
-        coords = ((units.to_si(origin, dim) + np.arange(n) * step)[r]
-                  for origin, (dim, step), n, r in zip(parsed.origin, axes, vqu.shape, region))
-        grids = np.meshgrid(*coords, indexing="ij")
-        columns = {name: units.from_si(grid.ravel(), dim) for name, grid, (dim, _) in zip(names, grids, axes)}
-        columns["vqu"] = units.from_si(vqu[region].ravel(), "energy")
+        coords = {name: units.from_si((units.to_si(origin, dim) + np.arange(n) * step)[r], dim)
+                  for name, origin, (dim, step), n, r in zip(names, parsed.origin, steps, vqu.shape, region)}
+        columns = {"vqu": units.from_si(vqu[region].ravel(), "energy")}
         footer = {"mean_qp_energy": units.from_si(mean, "energy")}
-    _check_finite(columns | footer)
+    _check_finite(coords | columns | footer)
     meta = {"mass": args.mass, "units": args.units, "periodic": density.periodic}
-    _emit_table(args, "qpot", meta, columns, footer=footer)
+    _emit_table(args, "qpot", meta, columns, footer=footer, axes=coords)
     return 0
 
 

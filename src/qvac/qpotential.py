@@ -32,7 +32,9 @@ functions return it padded with NaN to the grid's shape.
 from __future__ import annotations
 
 import csv
+import lzma
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -307,10 +309,14 @@ def _read_rows(path: str) -> tuple[tuple[str, ...], np.ndarray]:
 
     This is the reference reader: it skips ``#`` comment lines and blank
     rows, accepts quoted cells and every literal ``float()`` accepts, and
-    words the row-numbered errors for malformed files.
+    words the errors for malformed files (row-numbered, or naming a file
+    that is not UTF-8 text).
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DomainError(f"{path}: empty density file")
     header = tuple(c.strip() for c in rows[0])
@@ -333,23 +339,30 @@ def _read_table(path: str) -> tuple[tuple[str, ...], np.ndarray]:
     A file whose first line is a recognized header and whose body numpy's
     C reader parses into as many columns is read by that reader, which
     yields the same doubles as ``float()``.  Every other file (comments,
-    quoted cells, literals only ``float()`` accepts, malformed rows) goes
-    to ``_read_rows``, which also reports the errors.
+    quoted cells, literals only ``float()`` accepts, malformed rows, bytes
+    that are not UTF-8) goes to ``_read_rows``, which also reports the
+    errors.
+
+    ``np.loadtxt`` gets the path, not an open handle: only from a path
+    does it read the file in chunks in C; from a handle it takes one
+    Python string per line.  The path is made absolute because numpy
+    opens a name that parses as ``scheme://host/...`` as a URL.  numpy also
+    opens ``*.gz``, ``*.bz2`` and ``*.xz`` names through a decompressor, so
+    a plain file so named fails there (OSError, LZMAError) and is read by
+    ``_read_rows`` instead.
     """
-    with open(path, newline="") as fh:
-        header = tuple(c.strip() for c in fh.readline().split(","))
-        if header in _HEADERS:
-            body = fh.tell()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = tuple(c.strip() for c in fh.readline().split(","))
             # An empty body would make loadtxt warn instead of raise.
-            if fh.readline().strip():
-                fh.seek(body)
-                try:
-                    table = np.loadtxt(fh, delimiter=",", comments=None, dtype=float, ndmin=2)
-                except ValueError:
-                    pass
-                else:
-                    if table.shape[1] == len(header):
-                        return header, table
+            first_row = fh.readline().strip()
+        if header in _HEADERS and first_row:
+            table = np.loadtxt(os.path.abspath(path), delimiter=",", skiprows=1, comments=None,
+                               dtype=float, ndmin=2, encoding="utf-8")
+            if table.shape[1] == len(header):
+                return header, table
+    except (ValueError, OSError, lzma.LZMAError):
+        pass
     return _read_rows(path)
 
 
@@ -371,7 +384,7 @@ def read_density_csv(path: str) -> ParsedDensity:
 
     if header == _HEADERS_1D:
         spacing = _uniform_step(table[:, 0], "q")
-        density = GridDensity(table[:, 1], spacing, dims=1)
+        density = GridDensity(table[:, 1].copy(), spacing, dims=1)
         return ParsedDensity(density, None, (float(table[0, 0]),))
 
     if header == _HEADERS_1D_TIME:
@@ -388,7 +401,7 @@ def read_density_csv(path: str) -> ParsedDensity:
             raise DomainError(f"{path}: rows must be t-major with identical q per slice")
         dt = _uniform_step(t_col[:, 0], "t")
         spacing = _uniform_step(q_col[0], "q")
-        values = table[:, 2].reshape(n_t, n_q)
+        values = table[:, 2].reshape(n_t, n_q).copy()
         density = GridDensity(values, spacing, dims=1, time_axis=True)
         return ParsedDensity(density, dt, (float(t_col[0, 0]), float(q_col[0, 0])))
 
@@ -404,7 +417,7 @@ def read_density_csv(path: str) -> ParsedDensity:
         steps = [_uniform_step(a, label) for a, label in zip(axes, ("qx", "qy", "qz"))]
         if max(steps) - min(steps) > SPACING_RTOL * max(steps):
             raise DomainError(f"{path}: axes have unequal spacing; a single grid step is required")
-        density = GridDensity(table[:, 3].reshape(shape), steps[0], dims=3)
+        density = GridDensity(table[:, 3].reshape(shape).copy(), steps[0], dims=3)
         return ParsedDensity(density, None, tuple(float(a[0]) for a in axes))
 
     raise DomainError(

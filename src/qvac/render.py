@@ -4,7 +4,11 @@
 ``",".join("%.16e" % v for v in row) + "\\n"`` for every row of a 2-D
 float64 block, with the 17 significant digits of each value generated by
 numpy array arithmetic instead of one Python ``%`` per value.  It is the
-renderer of every CSV table the CLI writes.
+renderer of every CSV table the CLI writes.  A table whose leading
+columns are the coordinates of a row-major grid takes them as the grid's
+1-D axes (``csv_rows(block, axes, first_row)``): each axis value is
+rendered once per pass and copied to the rows that repeat it, so no
+grid-sized coordinate column is built or formatted.
 
 The digits of a finite nonzero x come from y = |x| * 10^(16-E), scaled in
 longdouble against a table of correctly rounded powers of ten, where E is
@@ -22,6 +26,9 @@ this approximates).
 """
 
 from __future__ import annotations
+
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -74,14 +81,18 @@ _EXPONENTS = np.frombuffer(
     b"".join(f"{e:+03d}".encode().ljust(4, b"\0") for e in range(_E_LO, _E_HI + 1)), dtype=np.uint32
 )
 
-#: Values rendered per pass: the temporaries of a pass take ~150 bytes
-#: per value, so memory is bounded by this, not by the block.
+#: Block values rendered per pass: the temporaries of a pass take ~150
+#: bytes per value, so memory is bounded by this, not by the block.
 CHUNK_VALUES = 2**12
 
 #: Bytes per value in the assembly buffer: sign, lead digit, ".", 16
-#: digits, "e", 4 exponent bytes and the separator; unused bytes stay 0
+#: digits, "e", 4 exponent bytes and the separator; unused bytes are 0
 #: and are dropped at the end.
 _WIDTH = 25
+
+#: One value's _WIDTH bytes as a single element, so rows of fields are
+#: gathered and placed a whole field at a time.
+_FIELD = np.dtype((np.void, _WIDTH))
 
 
 def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,15 +119,15 @@ def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _fields(x: np.ndarray) -> np.ndarray:
-    """One row of _WIDTH bytes per value of the 1-D ``x``: ``"%.16e" % v``
-    with 0 bytes in unused places and the last byte left for the separator."""
+    """One _FIELD per value of the 1-D ``x``: ``"%.16e" % v`` padded with
+    0 bytes, the last byte left unset for the separator."""
     a = np.abs(x)
     regular = (a > 0.0) & (a < np.inf)
     digits, exponent, ambiguous = _digits(np.where(regular, a, 1.0))
     digits[~regular] = 0  # +-0.0 is "0.0000000000000000e+00" with its sign
     exponent[~regular] = 0
 
-    buf = np.zeros((x.size, _WIDTH), dtype=np.uint8)
+    buf = np.empty((x.size, _WIDTH), dtype=np.uint8)
     buf[:, 0] = np.signbit(x) * ord("-")
     lead, rest = np.divmod(digits, 10**16)
     high, low = np.divmod(rest, 10**8)
@@ -133,25 +144,49 @@ def _fields(x: np.ndarray) -> np.ndarray:
     if fallback.size:
         texts = ["%.16e" % v for v in x[fallback].tolist()]
         buf[fallback, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
-    return buf
+    return buf.view(_FIELD)[:, 0]
 
 
-def csv_rows(block: np.ndarray) -> memoryview:
+def csv_rows(block: np.ndarray, axes: Sequence[np.ndarray] = (), first_row: int = 0) -> memoryview:
     """The bytes of ``",".join("%.16e" % v for v in row) + "\\n"`` for
-    every row of the 2-D float64 ``block``, concatenated.
+    every row of a table, concatenated.
 
-    The values are rendered CHUNK_VALUES at a time into one buffer, so
-    memory beyond the result is bounded by the chunk.
+    Without ``axes`` the rows are those of the 2-D float64 ``block``.
+    With them, the table's leading columns are the coordinates of the
+    row-major grid over the 1-D float64 ``axes`` (the last fastest): row j
+    is the coordinates of grid cell ``first_row + j``, then row j of
+    ``block``.  An axis no longer than a pass is rendered once; a longer
+    one pass by pass, over the span of values the pass's rows touch.
+    Either way its fields are gathered per row, never formatted per row.
+
+    The rows are rendered in passes of CHUNK_VALUES block values into one
+    buffer, so memory beyond the result is bounded by the pass.
     """
-    cols = block.shape[1]
-    x = np.ascontiguousarray(block, dtype=np.float64).ravel()
-    out = np.empty(x.size * _WIDTH, dtype=np.uint8)
+    rows, k = block.shape
+    step = max(1, CHUNK_VALUES // k)
+    strides = [math.prod(a.size for a in axes[i + 1:]) for i in range(len(axes))]
+    tables = [_fields(a) if a.size <= step else None for a in axes]
+    cols = len(axes) + k
+    out = np.empty(rows * cols * _WIDTH, dtype=np.uint8)
     end = 0
-    for start in range(0, x.size, CHUNK_VALUES):
-        buf = _fields(x[start : start + CHUNK_VALUES])
-        buf[:, -1] = ord(",")
-        buf[(cols - 1 - start) % cols :: cols, -1] = ord("\n")
-        flat = buf.ravel()
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        buf = np.empty((stop - start, cols), dtype=_FIELD)
+        values = np.ascontiguousarray(block[start:stop], dtype=np.float64).ravel()
+        buf[:, len(axes):] = _fields(values).reshape(stop - start, k)
+        cells = np.arange(first_row + start, first_row + stop)
+        for i, (axis, stride, table) in enumerate(zip(axes, strides, tables)):
+            index = cells // stride
+            if table is None:
+                lo = index[0]
+                table = _fields(axis[np.arange(lo, index[-1] + 1) % axis.size])
+                index -= lo
+            else:
+                index %= axis.size
+            buf[:, i] = table[index]
+        flat = buf.view(np.uint8).ravel()
+        flat[_WIDTH - 1 :: _WIDTH] = ord(",")
+        flat[cols * _WIDTH - 1 :: cols * _WIDTH] = ord("\n")
         text = flat[flat != 0]
         out[end : end + text.size] = text
         end += text.size

@@ -138,11 +138,13 @@ def load_config(path: str) -> SamplerConfig:
     must be JSON integers, ``lambda_c`` and ``extent`` finite numbers
     (booleans are neither).
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     if "lambda_c" not in raw:

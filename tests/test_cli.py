@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -11,12 +12,15 @@ from qvac import (
     ELECTRON_MASS,
     SamplerConfig,
     mean_qp_energy,
+    mean_qp_energy_dalembert,
     modestats,
     read_density_csv,
     sample_field,
+    vqu_grid_dalembert,
     vqu_grid_nonrel,
 )
 from qvac import cli
+from qvac import qpotential as qp
 from qvac.cli import RENDER_ROWS, main
 from qvac.sampler import block_rows
 
@@ -38,6 +42,16 @@ def percent_csv(comments, columns, rows, footer=()):
     lines += [",".join("%.16e" % v for v in row) for row in rows]
     lines += [f"# {c}" for c in footer]
     return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got, expected):
+    """``got == expected`` for multi-megabyte texts, reporting the first
+    line that differs (pytest's own diff of such texts takes minutes)."""
+    if got != expected:
+        got_lines, expected_lines = got.splitlines(), expected.splitlines()
+        line = next((i for i, pair in enumerate(zip(got_lines, expected_lines)) if pair[0] != pair[1]),
+                    min(len(got_lines), len(expected_lines)))
+        pytest.fail(f"line {line + 1}: {got_lines[line:line + 1]} != {expected_lines[line:line + 1]}")
 
 
 def parse_csv(text):
@@ -296,6 +310,14 @@ class TestSample:
         assert err == f"error: {path}: {message}\n"
         assert not (tmp_path / "r.json").exists()
 
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        path = self._write_config(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b'"seed": 9', b'"seed": "\xff"'))
+        code, out, err = run_cli(capsys, "sample", str(path), "--no-field", "--report-out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+
     def test_unrepresentable_grid_spacing_exits_two(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"lambda_c": 1e-310}))  # extent/grid_points is subnormal
@@ -341,6 +363,37 @@ def long_density(tmp_path_factory):
     n = 1.5 + np.sin(np.arange(4 * RENDER_ROWS + 1002) / 37.0)
     path.write_text("q,n\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(n.tolist())))
     return str(path)
+
+
+def write_grid(path, header, columns):
+    """A density CSV with one column per array, every value as its repr."""
+    rows = np.column_stack(columns).tolist()
+    path.write_text(header + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return str(path)
+
+
+def grid_file(path, shape, time_axis=False):
+    """A positive density on a grid of ``shape`` (leading axis time when
+    ``time_axis``) with coordinates 0.5 * index + 0.25 per axis."""
+    index = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
+    n = 1.5 + 0.5 * np.sin(index[0] / 3.0) * np.cos(sum(index[1:]) / 5.0)
+    coords = [0.5 * i.ravel() + 0.25 for i in index]
+    header = "t,q,n" if time_axis else "qx,qy,qz,n"
+    return write_grid(path, header, coords + [n.ravel()])
+
+
+@pytest.fixture(scope="module")
+def lattice_density(tmp_path_factory):
+    """A 3-D lattice whose evaluated region, periodic or not, has more than
+    RENDER_ROWS rows, so a block starts in the middle of every axis."""
+    return grid_file(tmp_path_factory.mktemp("lattice") / "lattice.csv", (20, 60, 70))
+
+
+@pytest.fixture(scope="module")
+def spacetime_density(tmp_path_factory):
+    """A t,q grid whose interior slices hold more than RENDER_ROWS rows, so
+    a block starts in the middle of the q axis (and of a t value's run)."""
+    return grid_file(tmp_path_factory.mktemp("spacetime") / "spacetime.csv", (70, 1000), time_axis=True)
 
 
 class TestQpot:
@@ -449,7 +502,7 @@ class TestQpot:
         assert len(rows) > 4 * RENDER_ROWS
         mean = mean_qp_energy(parsed.density, ELECTRON_MASS)
         comments = [f"mass = {ELECTRON_MASS}", "units = SI", "periodic = False"]
-        assert out.read_text() == percent_csv(comments, ["q", "vqu"], rows, [f"mean_qp_energy = {mean:.16e}"])
+        assert_same_text(out.read_text(), percent_csv(comments, ["q", "vqu"], rows, [f"mean_qp_energy = {mean:.16e}"]))
 
     def test_csv_output_memory_is_bounded_by_the_block(self, tmp_path, long_density, monkeypatch):
         # Rendering and writing hold one block of rows, not the whole table.
@@ -467,6 +520,67 @@ class TestQpot:
         out = tmp_path / "vqu.csv"
         assert main(["qpot", long_density, "--mass", repr(ELECTRON_MASS), "--output", str(out)]) == 0
         assert peaks[0] < out.stat().st_size / 2, (peaks, out.stat().st_size)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("layout", ["lattice", "spacetime"])
+    def test_grid_csv_equals_percent_reference(self, tmp_path, request, layout, periodic):
+        # Coordinates are rendered per axis and gathered per row; the
+        # reference expands them to one value per row and formats each.
+        path = request.getfixturevalue(f"{layout}_density")
+        out = tmp_path / "vqu.csv"
+        flag = ["--periodic"] if periodic else []
+        assert main(["qpot", path, "--mass", repr(ELECTRON_MASS), "--output", str(out), *flag]) == 0
+        parsed = read_density_csv(path)
+        density = dataclasses.replace(parsed.density, periodic=periodic)
+        if layout == "spacetime":
+            vqu = vqu_grid_dalembert(density, ELECTRON_MASS, parsed.dt)
+            mean = mean_qp_energy_dalembert(density, ELECTRON_MASS, parsed.dt)
+            names, steps = ["t", "q"], [parsed.dt, density.spacing]
+        else:
+            vqu = vqu_grid_nonrel(density, ELECTRON_MASS)
+            mean = mean_qp_energy(density, ELECTRON_MASS)
+            names, steps = ["qx", "qy", "qz"], [density.spacing] * 3
+        axes = [origin + np.arange(n) * step for origin, n, step in zip(parsed.origin, vqu.shape, steps)]
+        region = qp._region(density)
+        coords = [c[region].ravel() for c in np.meshgrid(*axes, indexing="ij")]
+        rows = np.column_stack(coords + [vqu[region].ravel()]).tolist()
+        shape = vqu[region].shape
+        assert all(RENDER_ROWS % math.prod(shape[i:]) for i in range(len(shape)))  # the second block starts mid-axis
+        comments = [f"mass = {ELECTRON_MASS}", "units = SI", f"periodic = {periodic}"]
+        expected = percent_csv(comments, names + ["vqu"], rows, [f"mean_qp_energy = {mean:.16e}"])
+        assert_same_text(out.read_text(), expected)
+
+    def test_csv_output_memory_is_bounded_by_the_block_on_a_lattice(self, tmp_path, monkeypatch):
+        # Coordinates reach the renderer as 1-D axes: rendering a lattice of
+        # four blocks holds one block of rows and no coordinate columns.
+        path = grid_file(tmp_path / "lattice.csv", (64, 60, 70))
+        emit_table, peaks = cli._emit_table, []
+
+        def traced_emit_table(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                emit_table(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_emit_table", traced_emit_table)
+        out = tmp_path / "vqu.csv"
+        assert main(["qpot", path, "--mass", repr(ELECTRON_MASS), "--output", str(out)]) == 0
+        assert out.read_text().count("\n") > 3 * RENDER_ROWS
+        assert peaks[0] < out.stat().st_size / 2, (peaks, out.stat().st_size)
+
+    @pytest.mark.parametrize("rows", [1, 2000])
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys, rows):
+        # With 2000 rows the bad byte lies past the text the header read
+        # decodes, so numpy's reader meets it first.
+        body = "".join(f"{0.1 * i!r},1.0\n" for i in range(rows))
+        path = tmp_path / "bad.csv"
+        path.write_bytes(f"q,n\n{body}".encode() + b"\xff\xfe,2\n")
+        code, out, err = run_cli(capsys, "qpot", str(path), "--mass", "1e-30")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
     def test_3d_file(self, tmp_path, capsys):
         n = 8

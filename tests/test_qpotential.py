@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -437,6 +438,23 @@ class TestCsvIngestion:
         with pytest.raises(DomainError, match="lattice"):
             read_density_csv(self._write(tmp_path, "i.csv", "\n".join(rows) + "\n"))
 
+    def test_density_owns_its_values(self, tmp_path):
+        # The parsed N x 2 table is freed on return: the density holds a
+        # contiguous copy of its column, not a view that keeps the table.
+        points = 4 * 2**16 + 1002
+        n = 1.5 + np.sin(np.arange(points) / 37.0)
+        path = self._write(tmp_path, "long.csv", "q,n\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(n.tolist())))
+        read_density_csv(path)
+        tracemalloc.start()
+        try:
+            parsed = read_density_csv(path)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        values = parsed.density.values
+        assert values.flags.c_contiguous and values.base is None
+        assert kept <= values.nbytes + 64 * 1024, (kept, values.nbytes)
+
     def test_unknown_header_rejected(self, tmp_path):
         with pytest.raises(DomainError, match="header"):
             read_density_csv(self._write(tmp_path, "u.csv", "a,b\n1,2\n"))
@@ -481,6 +499,7 @@ INGEST_CASES = {
     "blank_line_after_header": (_density_text([[""]] + _PLAIN), False),
     "whitespace_only_line": (_density_text(_PLAIN[:5] + [["   "]] + _PLAIN[5:]), False),
     "crlf": (_density_text(_PLAIN, eol="\r\n"), True),
+    "cr": (_density_text(_PLAIN, eol="\r"), True),
     "quoted_cells": (_density_text(_edit(_PLAIN, 3, '"0.30000000000000004"', '"1.0"')), False),
     "quoted_header": (_density_text(_PLAIN, header='"q","n"'), False),
     "padded_cells": (_density_text([[f" {q}\t", f"  {n} "] for q, n in _PLAIN], header=" q , n "), True),
@@ -529,6 +548,45 @@ class TestIngestPaths:
         assert bool(reference_calls) is not fast
         monkeypatch.setattr(qp, "_read_table", qp._read_rows)
         assert got == self._outcome(str(path))
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_file_with_a_compressed_name(self, suffix, tmp_path):
+        # numpy would open such a name through a decompressor.
+        text = INGEST_CASES["random_doubles"][0]
+        plain, named = tmp_path / "d.csv", tmp_path / f"d.csv{suffix}"
+        plain.write_text(text)
+        named.write_text(text)
+        assert self._outcome(str(named)) == self._outcome(str(plain))
+
+    def test_url_like_relative_path_is_read_locally(self, tmp_path, monkeypatch):
+        # "http://host/d.csv" names the local file http:/host/d.csv.
+        import urllib.request
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("the density file was fetched as a URL")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        monkeypatch.chdir(tmp_path)
+        local = tmp_path / "http:" / "host" / "d.csv"
+        local.parent.mkdir(parents=True)
+        local.write_text(INGEST_CASES["plain"][0])
+        reference_calls = []
+        read_rows = qp._read_rows
+        monkeypatch.setattr(qp, "_read_rows", lambda p: reference_calls.append(p) or read_rows(p))
+        got = self._outcome("http://host/d.csv")
+        assert reference_calls == []  # numpy's reader took the file
+        assert got == self._outcome(str(local))
+
+    @pytest.mark.parametrize("rows", [1, 2000])
+    def test_non_utf8_file_is_a_domain_error(self, rows, tmp_path):
+        # With 2000 rows the bad byte lies past the text the header read
+        # decodes, so numpy's reader meets it first.
+        path = tmp_path / "bad.csv"
+        body = "".join(f"{0.1 * i!r},1.0\n" for i in range(rows))
+        path.write_bytes(f"q,n\n{body}".encode() + b"\xff\xfe,2\n")
+        with pytest.raises(DomainError) as caught:
+            read_density_csv(str(path))
+        assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
 
     @pytest.mark.parametrize("name", sorted(INGEST_CASES))
     def test_cli_stderr_holds_only_the_error(self, name, tmp_path, capsys):
