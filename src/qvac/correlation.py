@@ -35,6 +35,11 @@ DEFAULT_KMAX_LC = 12.0
 #: Default number of samples of a generated Gaussian spectrum.
 DEFAULT_SPECTRUM_POINTS = 4096
 
+#: Lag-by-wavenumber values per block of the cosine transform: a block's
+#: temporaries take 8 bytes per value each, so memory is bounded by this,
+#: not by the lag count (2^17 values: 32 lags of a 4096-point spectrum).
+BLOCK_VALUES = 2**17
+
 
 @dataclass(frozen=True)
 class ModeSpectrum:
@@ -142,6 +147,10 @@ def correlation_from_spectrum(spectrum: ModeSpectrum, xi_grid) -> CorrelationFun
     tabulated grid (trapezoid rule) and is normalized so G(0) = 1.  The
     spectrum must have decayed below TAIL_FRACTION of its maximum at the
     last grid point, otherwise the truncated transform would ring.
+
+    The lags are transformed in blocks of about BLOCK_VALUES // k.size;
+    each lag's value is its own row of products and sum, so the result is
+    bit for bit that of transforming every lag at once.
     """
     k = spectrum.k_grid
     s = spectrum.s_values
@@ -158,8 +167,12 @@ def correlation_from_spectrum(spectrum: ModeSpectrum, xi_grid) -> CorrelationFun
     xi = np.asarray(xi_grid, dtype=float)
     if xi.ndim != 1 or xi.size == 0 or np.any(xi < 0.0):
         raise DomainError("xi_grid must be a 1-D array of non-negative lags")
-    phase = np.outer(xi, k)
-    g_raw = np.trapezoid(np.cos(phase) * s, k, axis=1)
+    rows = max(1, BLOCK_VALUES // k.size)
+    g_raw = np.empty(xi.size)
+    for start in range(0, xi.size, rows):
+        wave = np.cos(np.outer(xi[start:start + rows], k))
+        wave *= s
+        g_raw[start:start + rows] = np.trapezoid(wave, k, axis=1)
     norm = np.trapezoid(s, k)
     g = g_raw / norm
     return CorrelationFunction(xi_grid=xi, g_values=g, lambda_c=e_folding_lag(xi, g))

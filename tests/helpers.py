@@ -4,6 +4,8 @@ fixtures stay in ``conftest.py``)."""
 from __future__ import annotations
 
 import math
+import tracemalloc
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -33,3 +35,21 @@ def cos2_density(wavelength: float, points: int, periodic: bool = True) -> tuple
 def offnode_mask(q: np.ndarray, wavelength: float, h: float, margin: float = 1.6) -> np.ndarray:
     """Keep points whose difference stencil cannot straddle a density node."""
     return node_distance(q, wavelength) > margin * h
+
+
+class Traced(NamedTuple):
+    result: Any
+    peak: int  # the most bytes traced at once during the call
+    kept: int  # the bytes still traced when the call returned
+
+
+def traced_peak(fn: Callable[[], Any]) -> Traced:
+    """Call ``fn()`` with tracemalloc tracing Python-visible allocations
+    (numpy arrays included) from the call's start."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return Traced(result, peak, kept)

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +22,8 @@ from qvac import cli
 from qvac import qpotential as qp
 from qvac.cli import RENDER_ROWS, main
 from qvac.sampler import block_rows
+
+from helpers import traced_peak
 
 KB = CONSTANTS.k_boltzmann
 HBAR = CONSTANTS.hbar
@@ -88,6 +89,45 @@ class TestExitCodes:
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "qpot", "/nonexistent/d.csv", "--mass", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--mass", "1", "--temp", "0.1", "--units", "Natural"),
+        ("photon-spectrum", "--temp", "300"),
+        ("correlation", "--mass", repr(ELECTRON_MASS), "--temp", "300"),
+    ])
+    def test_unallocatable_points_exit_two(self, capsys, argv):
+        # numpy refuses a 7 PiB grid before allocating any of it
+        code, out, err = run_cli(capsys, *argv, "--points", "1000000000000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
+
+
+class TestParser:
+    CALLS = [
+        ("spectrum", "--mass", "1"),  # usage error
+        ("--help",),
+        ("correlation", "--help"),
+        ("photon-spectrum", "--temp", "300", "--points", "4"),
+        ("blackhole", "1.0"),
+        ("spectrum", "--mass", "1", "--temp", "0.1", "--units", "Natural", "--points", "3", "--format", "json"),
+        ("spectrum", "--mass", "1"),
+    ]
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        build, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in self.CALLS:
+            run_cli(capsys, *argv)
+        assert len(built) == 1
+
+    def test_shared_parser_answers_like_a_fresh_one(self, monkeypatch, capsys):
+        shared = [run_cli(capsys, *argv) for argv in self.CALLS]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = [run_cli(capsys, *argv) for argv in self.CALLS]
+        assert [code for code, _, _ in fresh] == [1, 0, 0, 0, 0, 0, 1]
+        assert shared == fresh
 
 
 class TestSpectrum:
@@ -340,18 +380,16 @@ class TestSample:
         assert field_path.read_text() == expected
 
     def test_memory_is_bounded_by_the_block(self, tmp_path, capsys):
-        def traced_peak(realizations):
+        def sample_peak(realizations):
             cfg = self._write_config(tmp_path, realizations=realizations)
-            tracemalloc.start()
-            try:
-                code, _, _ = run_cli(capsys, "sample", str(cfg), "--no-field", "--report-out", str(tmp_path / "r.json"))
-                assert code == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            traced = traced_peak(
+                lambda: run_cli(capsys, "sample", str(cfg), "--no-field", "--report-out", str(tmp_path / "r.json"))
+            )
+            assert traced.result[0] == 0
+            return traced.peak
 
-        one_block = traced_peak(block_rows(256))
-        eight_blocks = traced_peak(8 * block_rows(256))
+        one_block = sample_peak(block_rows(256))
+        eight_blocks = sample_peak(8 * block_rows(256))
         assert eight_blocks <= 1.5 * one_block, (one_block, eight_blocks)
 
 
@@ -509,12 +547,7 @@ class TestQpot:
         emit_table, peaks = cli._emit_table, []
 
         def traced_emit_table(*args, **kwargs):
-            tracemalloc.start()
-            try:
-                emit_table(*args, **kwargs)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: emit_table(*args, **kwargs)).peak)
 
         monkeypatch.setattr(cli, "_emit_table", traced_emit_table)
         out = tmp_path / "vqu.csv"
@@ -557,12 +590,7 @@ class TestQpot:
         emit_table, peaks = cli._emit_table, []
 
         def traced_emit_table(*args, **kwargs):
-            tracemalloc.start()
-            try:
-                emit_table(*args, **kwargs)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(traced_peak(lambda: emit_table(*args, **kwargs)).peak)
 
         monkeypatch.setattr(cli, "_emit_table", traced_emit_table)
         out = tmp_path / "vqu.csv"

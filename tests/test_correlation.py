@@ -18,6 +18,9 @@ from qvac import (
     gaussian_spectrum,
     mode_probability_nonrel,
 )
+from qvac.correlation import BLOCK_VALUES
+
+from helpers import traced_peak
 
 
 class TestCorrelationLength:
@@ -146,6 +149,32 @@ class TestTransform:
         assert lhs == pytest.approx(rhs, rel=1e-6)
         # analytic value of both sides: lambda_c * sqrt(pi/2)
         assert lhs == pytest.approx(lam_c * math.sqrt(math.pi / 2.0), rel=1e-6)
+
+
+class TestBlockedTransform:
+    """Lags are transformed BLOCK_VALUES // points at a time; every lag
+    keeps its own products and sum, so the result is the one-shot one."""
+
+    @pytest.mark.parametrize("lags", [1, "block-1", "block", "block+1", 256, 1000])
+    @pytest.mark.parametrize("points", [256, 257, 4096])
+    def test_bit_identical_to_one_shot(self, points, lags):
+        lam_c = 2.4e-9
+        spectrum = gaussian_mode_spectrum(lam_c, points)
+        k, s = spectrum.k_grid, spectrum.s_values
+        block = BLOCK_VALUES // points
+        lags = {"block-1": block - 1, "block": block, "block+1": block + 1}.get(lags, lags)
+        xi = np.random.default_rng(points + lags).uniform(0.0, 4.0 * lam_c, lags)
+        expected = np.trapezoid(np.cos(np.outer(xi, k)) * s, k, axis=1) / np.trapezoid(s, k)
+        got = correlation_from_spectrum(spectrum, xi).g_values
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_memory_is_bounded_by_the_block(self):
+        # One-shot temporaries would be 20 000 x 4096 values (655 MB) each.
+        lam_c = 2.4e-9
+        spectrum = gaussian_mode_spectrum(lam_c)
+        xi = np.linspace(0.0, 3.0 * lam_c, 20_000)
+        peak = traced_peak(lambda: correlation_from_spectrum(spectrum, xi)).peak
+        assert peak < 4 * 8 * BLOCK_VALUES + 2 * xi.nbytes, peak
 
 
 class TestEFoldingLag:

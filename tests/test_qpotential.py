@@ -1,6 +1,5 @@
 import functools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,7 +24,7 @@ from qvac import (
 
 from qvac.cli import main
 
-from helpers import NATURAL, cos2_density, offnode_mask
+from helpers import NATURAL, cos2_density, offnode_mask, traced_peak
 
 HBAR = CONSTANTS.hbar
 C = CONSTANTS.c
@@ -445,12 +444,7 @@ class TestCsvIngestion:
         n = 1.5 + np.sin(np.arange(points) / 37.0)
         path = self._write(tmp_path, "long.csv", "q,n\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(n.tolist())))
         read_density_csv(path)
-        tracemalloc.start()
-        try:
-            parsed = read_density_csv(path)
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        parsed, _, kept = traced_peak(lambda: read_density_csv(path))
         values = parsed.density.values
         assert values.flags.c_contiguous and values.base is None
         assert kept <= values.nbytes + 64 * 1024, (kept, values.nbytes)

@@ -65,7 +65,7 @@ class TestScaleTable:
 
 class TestPercentEquality:
     def test_random_bit_patterns(self):
-        # 3 columns: chunks of CHUNK_VALUES values end in the middle of rows.
+        # 3 columns: passes of CHUNK_VALUES // 3 whole rows, the last one short.
         assert_renders_like_percent(random_bit_patterns(3 * 166_667, seed=0), cols=3)
 
     @pytest.mark.skipif(not WIDE_LONGDOUBLE, reason="every value takes % without a 64-bit longdouble significand")
