@@ -112,18 +112,12 @@ def analytic_correlation(xi, lambda_c: float):
     return out if out.ndim else float(out)
 
 
-def gaussian_mode_spectrum(
-    lambda_c: float,
-    points: int = DEFAULT_SPECTRUM_POINTS,
-    k_max: float | None = None,
-) -> ModeSpectrum:
-    """Tabulate the Gaussian spectrum on [0, k_max] (default 12/lambda_c,
-    where the weight is ~2e-16 and the transform tail bound holds)."""
+def gaussian_mode_spectrum(lambda_c: float, points: int = DEFAULT_SPECTRUM_POINTS) -> ModeSpectrum:
+    """Tabulate the Gaussian spectrum on [0, 12/lambda_c], where the weight
+    is ~2e-16 and the transform tail bound holds."""
     if not lambda_c > 0.0:
         raise DomainError("lambda_c must be > 0")
-    if k_max is None:
-        k_max = DEFAULT_KMAX_LC / lambda_c
-    k = np.linspace(0.0, k_max, points)
+    k = np.linspace(0.0, DEFAULT_KMAX_LC / lambda_c, points)
     return ModeSpectrum(k, gaussian_spectrum(k, lambda_c))
 
 

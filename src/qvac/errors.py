@@ -20,26 +20,25 @@ class SingularDensity(ValueError):
     point (a tuple of axis indices).
     """
 
-    def __init__(self, index: tuple[int, ...], message: str | None = None):
+    def __init__(self, index: tuple[int, ...]):
         self.index = tuple(int(i) for i in index)
-        if message is None:
-            message = f"density is singular (below threshold) at grid point {self.index}"
-        super().__init__(message)
+        super().__init__(f"density is singular (below threshold) at grid point {self.index}")
 
 
 class ImaginaryEnergy(ValueError):
     """A massive mode was requested beyond the wavelength where its energy
     formula turns imaginary.  ``lambda_crit`` is the critical wavelength
     2*pi*hbar/(m*c); only wavelengths strictly above it are valid.
+    ``wavelength`` is the offending one.
     """
 
-    def __init__(self, lambda_crit: float, wavelength: float | None = None):
+    def __init__(self, lambda_crit: float, wavelength: float):
         self.lambda_crit = float(lambda_crit)
-        self.wavelength = None if wavelength is None else float(wavelength)
-        detail = f"critical wavelength {self.lambda_crit:.9e} m"
-        if self.wavelength is not None:
-            detail = f"wavelength {self.wavelength:.9e} m <= " + detail
-        super().__init__(f"mode energy is imaginary: {detail}")
+        self.wavelength = float(wavelength)
+        super().__init__(
+            f"mode energy is imaginary: wavelength {self.wavelength:.9e} m <= "
+            f"critical wavelength {self.lambda_crit:.9e} m"
+        )
 
 
 class WrongBranch(ValueError):

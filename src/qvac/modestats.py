@@ -83,6 +83,11 @@ def _bose(e: float, x: float) -> float:
     return e * math.exp(-x) if x > EXP_CUTOFF else e / math.expm1(x)
 
 
+def _boltzmann(x: float) -> float:
+    """Boltzmann weight exp(-x), exactly 0.0 past EXP_CUTOFF."""
+    return 0.0 if x > EXP_CUTOFF else math.exp(-x)
+
+
 def _sqrt_factor(wavelength, state: ThermalState):
     """sqrt(1 - (lambda_crit/lambda)^2) with the domain guard."""
     if state.mass == 0.0:
@@ -124,30 +129,19 @@ def mode_probability_nonrel(wavelength: float, state: ThermalState) -> float:
     if not state.mass > 0.0:
         raise DomainError("mode_probability_nonrel requires mass > 0")
     k = 2.0 * math.pi / wavelength
-    exponent = (CONSTANTS.hbar * k) ** 2 / (
-        2.0 * state.mass * CONSTANTS.k_boltzmann * state.temperature
-    )
-    if exponent > EXP_CUTOFF:
-        return 0.0
-    return math.exp(-exponent)
+    return _boltzmann((CONSTANTS.hbar * k) ** 2 / (2.0 * state.mass * CONSTANTS.k_boltzmann * state.temperature))
 
 
 def mode_probability_rel(wavelength: float, state: ThermalState) -> float:
     """Boltzmann weight exp[-E(lambda)/k_B T] of the relativistic mode."""
-    x = _energy_over_kt(wavelength, state)
-    if x > EXP_CUTOFF:
-        return 0.0
-    return math.exp(-x)
+    return n_particle_weight(wavelength, 1, state)
 
 
 def n_particle_weight(wavelength: float, n: int, state: ThermalState) -> float:
     """Weight exp[-n E(lambda)/k_B T] of the n-particle occupation."""
     if n != int(n) or n < 0:
         raise DomainError("n must be a non-negative integer")
-    x = n * _energy_over_kt(wavelength, state)
-    if x > EXP_CUTOFF:
-        return 0.0
-    return math.exp(-x)
+    return _boltzmann(n * _energy_over_kt(wavelength, state))
 
 
 def mean_energy(wavelength: float | np.ndarray, state: ThermalState) -> float | np.ndarray:

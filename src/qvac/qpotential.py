@@ -280,26 +280,21 @@ class ParsedDensity(NamedTuple):
     origin: tuple[float, ...]
 
 
-_HEADERS_1D = ("q", "n")
-_HEADERS_1D_TIME = ("t", "q", "n")
-_HEADERS_3D = ("qx", "qy", "qz", "n")
-_HEADERS = (_HEADERS_1D, _HEADERS_1D_TIME, _HEADERS_3D)
+#: Recognized headers: the coordinate columns, then the density ``n``.
+_HEADERS = (("q", "n"), ("t", "q", "n"), ("qx", "qy", "qz", "n"))
 
 #: Relative tolerance for the uniform-spacing check of ingested grids.
 SPACING_RTOL = 1e-9
 
 
-def _uniform_step(coords: np.ndarray, label: str) -> float:
-    if not np.all(np.isfinite(coords)):
-        raise DomainError(f"column {label!r} must hold finite coordinates")
-    diffs = np.diff(coords)
+def _uniform_step(axis: np.ndarray, label: str, path: str) -> float:
+    """Step of an axis of sorted distinct values, which must be uniform."""
+    diffs = np.diff(axis)
     if diffs.size == 0:
-        raise DomainError(f"column {label!r} needs at least 2 distinct values")
+        raise DomainError(f"{path}: column {label!r} needs at least 2 distinct values")
     step = float(diffs.mean())
-    if not step > 0.0:
-        raise DomainError(f"column {label!r} must be strictly ascending")
     if np.max(np.abs(diffs - step)) > SPACING_RTOL * abs(step):
-        raise DomainError(f"column {label!r} is not uniformly spaced (tolerance {SPACING_RTOL:g} relative)")
+        raise DomainError(f"{path}: column {label!r} is not uniformly spaced (tolerance {SPACING_RTOL:g} relative)")
     return step
 
 
@@ -369,10 +364,12 @@ def _read_table(path: str) -> tuple[tuple[str, ...], np.ndarray]:
 def read_density_csv(path: str) -> ParsedDensity:
     """Read a density grid from CSV.
 
-    Recognized layouts (header row required):
-      * ``q,n``          1-D grid
-      * ``t,q,n``        1-D grid with a leading time axis (rows t-major)
-      * ``qx,qy,qz,n``   3-D row-major lattice (qz fastest)
+    Recognized headers: ``q,n`` (1-D grid), ``t,q,n`` (1-D grid with a
+    leading time axis) and ``qx,qy,qz,n`` (3-D grid).  Every column but
+    ``n`` is a coordinate, and one rule covers all three layouts: the rows
+    must be the complete row-major lattice over the sorted distinct values
+    of each coordinate column (the last one fastest), each of these axes
+    uniformly spaced, and the spatial axes sharing one step.
 
     ``#`` lines are full-line comments, cells may be quoted, and numbers
     are read to the exact double ``float()`` gives.  Returns a
@@ -381,45 +378,25 @@ def read_density_csv(path: str) -> ParsedDensity:
     callers may flip the flag via ``dataclasses.replace``.
     """
     header, table = _read_table(path)
-
-    if header == _HEADERS_1D:
-        spacing = _uniform_step(table[:, 0], "q")
-        density = GridDensity(table[:, 1].copy(), spacing, dims=1)
-        return ParsedDensity(density, None, (float(table[0, 0]),))
-
-    if header == _HEADERS_1D_TIME:
-        t_vals = np.unique(table[:, 0])
-        n_t = t_vals.size
-        if n_t < 2:
-            raise DomainError(f"{path}: time axis needs at least 2 slices")
-        if table.shape[0] % n_t:
-            raise DomainError(f"{path}: rows do not form a complete (t, q) lattice")
-        n_q = table.shape[0] // n_t
-        t_col = table[:, 0].reshape(n_t, n_q)
-        q_col = table[:, 1].reshape(n_t, n_q)
-        if np.any(t_col != t_col[:, :1]) or np.any(q_col != q_col[:1, :]):
-            raise DomainError(f"{path}: rows must be t-major with identical q per slice")
-        dt = _uniform_step(t_col[:, 0], "t")
-        spacing = _uniform_step(q_col[0], "q")
-        values = table[:, 2].reshape(n_t, n_q).copy()
-        density = GridDensity(values, spacing, dims=1, time_axis=True)
-        return ParsedDensity(density, dt, (float(t_col[0, 0]), float(q_col[0, 0])))
-
-    if header == _HEADERS_3D:
-        axes = [np.unique(table[:, i]) for i in range(3)]
-        shape = tuple(a.size for a in axes)
-        if table.shape[0] != math.prod(shape):
-            raise DomainError(f"{path}: rows do not form a complete lattice of shape {shape}")
-        grids = np.meshgrid(*axes, indexing="ij")
-        for i, label in enumerate(("qx", "qy", "qz")):
-            if not np.array_equal(table[:, i].reshape(shape), grids[i]):
-                raise DomainError(f"{path}: rows are not in row-major ({label} order) lattice layout")
-        steps = [_uniform_step(a, label) for a, label in zip(axes, ("qx", "qy", "qz"))]
-        if max(steps) - min(steps) > SPACING_RTOL * max(steps):
-            raise DomainError(f"{path}: axes have unequal spacing; a single grid step is required")
-        density = GridDensity(table[:, 3].reshape(shape).copy(), steps[0], dims=3)
-        return ParsedDensity(density, None, tuple(float(a[0]) for a in axes))
-
-    raise DomainError(
-        f"{path}: unrecognized header {','.join(header)!r}; expected q,n or t,q,n or qx,qy,qz,n"
-    )
+    if header not in _HEADERS:
+        raise DomainError(
+            f"{path}: unrecognized header {','.join(header)!r}; expected q,n or t,q,n or qx,qy,qz,n"
+        )
+    labels, coords = header[:-1], table[:, :-1]
+    axes = [np.unique(coords[:, i]) for i in range(len(labels))]
+    for axis, label in zip(axes, labels):
+        if not np.isfinite(axis).all():
+            raise DomainError(f"{path}: column {label!r} must hold finite coordinates")
+    shape = tuple(a.size for a in axes)
+    if table.shape[0] != math.prod(shape):
+        raise DomainError(f"{path}: rows do not form a complete lattice of shape {shape}")
+    for i, (axis, label) in enumerate(zip(axes, labels)):
+        along_i = [-1 if j == i else 1 for j in range(len(shape))]
+        if not np.all(coords[:, i].reshape(shape) == axis.reshape(along_i)):
+            raise DomainError(f"{path}: rows are not in row-major ({label} order) lattice layout")
+    steps = [_uniform_step(a, label, path) for a, label in zip(axes, labels)]
+    dt = steps.pop(0) if labels[0] == "t" else None
+    if max(steps) - min(steps) > SPACING_RTOL * max(steps):
+        raise DomainError(f"{path}: axes have unequal spacing; a single grid step is required")
+    density = GridDensity(table[:, -1].reshape(shape).copy(), steps[0], dims=len(steps), time_axis=dt is not None)
+    return ParsedDensity(density, dt, tuple(float(a[0]) for a in axes))

@@ -22,6 +22,7 @@ from qvac import (
     spectral_density_massive,
     wien_peak,
 )
+from qvac import modestats
 from qvac.correlation import correlation_length
 
 HBAR = CONSTANTS.hbar
@@ -119,6 +120,18 @@ class TestModeProbabilityRel:
             e = mode_energy_massive(lam, state)
             expected = math.exp(-e / (KB * state.temperature))
             assert mode_probability_rel(lam, state) == pytest.approx(expected, rel=1e-12)
+
+    def test_equals_the_one_particle_weight_bit_for_bit(self):
+        # E/kT runs from ~1.4 to ~1000 and crosses EXP_CUTOFF = 700 on the way.
+        state = state_with_mu(1000.0)
+        crossed = set()
+        for frac in np.linspace(0.999999, 0.01, 4001).tolist():
+            lam = LAMBDA_CRIT_E / frac
+            x = modestats._energy_over_kt(lam, state)
+            crossed.add(x > modestats.EXP_CUTOFF)
+            expected = 0.0 if x > modestats.EXP_CUTOFF else math.exp(-x)
+            assert mode_probability_rel(lam, state).hex() == n_particle_weight(lam, 1, state).hex() == expected.hex()
+        assert crossed == {False, True}
 
 
 class TestMeanEnergy:

@@ -476,6 +476,8 @@ def _random_doubles_rows(points=2000):
 
 _PLAIN = [[repr(0.1 * i), repr(1.0 + 0.25 * math.cos(0.5 * i))] for i in range(12)]
 _TIME_ROWS = [[repr(0.5 * t), repr(0.1 * i), repr(1.0 + 0.01 * (t + i))] for t in range(3) for i in range(10)]
+_LATTICE_ROWS = [[repr(0.2 * i), repr(0.2 * j), repr(0.2 * k), "1.0"]
+                 for i in range(8) for j in range(8) for k in range(8)]
 
 #: name -> (file text, whether the numpy reader should take the file)
 INGEST_CASES = {
@@ -508,6 +510,29 @@ INGEST_CASES = {
     "short_row": (_density_text(_edit(_PLAIN, 9, "0.9")), False),
     "extra_column_everywhere": (_density_text([row + ["0"] for row in _PLAIN]), False),
     "bad_literal": (_density_text(_edit(_PLAIN, 5, "0.5", "not-a-number")), False),
+    "descending_q": (_density_text(_PLAIN[::-1]), True),
+    "duplicated_q": (_density_text(_edit(_PLAIN, 6, _PLAIN[5][0], "1.0")), True),
+    "q_major_time_layout": (_density_text(sorted(_TIME_ROWS, key=lambda r: (float(r[1]), float(r[0]))),
+                                          header="t,q,n"), True),
+    "one_slice_time_layout": (_density_text(_TIME_ROWS[:10], header="t,q,n"), True),
+    "time_layout_q_differs": (_density_text(
+        [[t, repr(float(q) + 0.05), n] if t == "0.5" else [t, q, n] for t, q, n in _TIME_ROWS], header="t,q,n"
+    ), True),
+    "lattice_inf_coordinate": (_density_text(_edit(_LATTICE_ROWS, 100, *_LATTICE_ROWS[100][:2], "inf", "1.0"),
+                                             header="qx,qy,qz,n"), True),
+}
+
+#: name -> error message after the "{path}: " prefix, for the INGEST_CASES
+#: files whose coordinates do not form a lattice the rule accepts.
+LAYOUT_FAULTS = {
+    "inf_coordinate": "column 'q' must hold finite coordinates",
+    "interleaved_comments": "column 'q' is not uniformly spaced (tolerance 1e-09 relative)",
+    "descending_q": "rows are not in row-major (q order) lattice layout",
+    "duplicated_q": "rows do not form a complete lattice of shape (11,)",
+    "q_major_time_layout": "rows are not in row-major (t order) lattice layout",
+    "one_slice_time_layout": "column 't' needs at least 2 distinct values",
+    "time_layout_q_differs": "rows do not form a complete lattice of shape (3, 20)",
+    "lattice_inf_coordinate": "column 'qz' must hold finite coordinates",
 }
 
 
@@ -581,6 +606,13 @@ class TestIngestPaths:
         with pytest.raises(DomainError) as caught:
             read_density_csv(str(path))
         assert str(caught.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_FAULTS))
+    def test_layout_fault_is_named_with_the_path(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(INGEST_CASES[name][0].encode())
+        code = main(["qpot", str(path), "--mass", "1", "--units", "Natural", "--output", str(tmp_path / "out.csv")])
+        assert (code, capsys.readouterr().err) == (2, f"error: {path}: {LAYOUT_FAULTS[name]}\n")
 
     @pytest.mark.parametrize("name", sorted(INGEST_CASES))
     def test_cli_stderr_holds_only_the_error(self, name, tmp_path, capsys):
