@@ -186,20 +186,55 @@ class NoiseField:
         return self.extent / self.values.shape[1]
 
 
-def _mode_coefficients(z: np.ndarray, weights: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """Per-block scratch of the pipeline over ``realizations`` rows of
+    ``grid_points`` samples, allocated once per call for the largest block
+    and overwritten by every block: the standard normals, the complex modes (the synthesis
+    coefficients, then the block's rfft) and the ``|rfft|^2`` rows.  The
+    centered-moment temporaries reuse the normals and the modes, both
+    dead once the block is transformed; each holds at least
+    ``rows * grid_points`` doubles."""
+
+    def __init__(self, grid_points: int, realizations: int):
+        rows = min(block_rows(grid_points), realizations)
+        modes = grid_points // 2 + 1
+        self.normals = np.empty((rows, 2, modes))
+        self.modes = np.empty((rows, modes), dtype=complex)
+        self.power = np.empty((rows, modes))
+        self.finite = np.empty((rows, grid_points), dtype=bool)
+
+    def moment_scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.normals.reshape(-1)[:size], self.modes.view(float).reshape(-1)[:size]
+
+
+def _mode_coefficients(z: np.ndarray, part_weights: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Complex Gaussian rfft coefficients with E|c_m|^2 = weights[m], one
     row per realization, from standard normals ``z[:, 0]`` (real parts)
-    and ``z[:, 1]`` (imaginary parts)."""
-    coeff = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+    and ``z[:, 1]`` (imaginary parts), written into ``out``;
+    ``part_weights`` is sqrt(weights) once for each real and imaginary
+    part, ``np.repeat(np.sqrt(weights), 2)``.
+
+    The products are the ones of ``(z0 + 1j*z1) / sqrt(2) * sqrt(weights)``
+    in complex arithmetic (numpy divides by a real scalar as a multiply by
+    its reciprocal), taken as real multiplies on the interleaved parts; a
+    coefficient that is zero may differ from that expression in the sign
+    of the zero only."""
+    parts = out.view(float)
+    pairs = parts.reshape(out.shape + (2,))
+    np.multiply(z[:, 0], 1.0 / math.sqrt(2.0), out=pairs[..., 0])
+    np.multiply(z[:, 1], 1.0 / math.sqrt(2.0), out=pairs[..., 1])
     # DC and Nyquist coefficients of an even-length real field are real.
-    coeff[:, 0] = z[:, 0, 0]
-    coeff[:, -1] = z[:, 0, -1]
-    return coeff * np.sqrt(weights)
+    pairs[:, 0, 0] = z[:, 0, 0]
+    pairs[:, -1, 0] = z[:, 0, -1]
+    pairs[:, 0, 1] = pairs[:, -1, 1] = 0.0
+    np.multiply(parts, part_weights, out=parts)
+    return out
 
 
-def _field_blocks(config: SamplerConfig) -> Iterator[np.ndarray]:
+def _field_blocks(config: SamplerConfig, work: _Workspace) -> Iterator[np.ndarray]:
     """Realizations 0 .. config.realizations - 1 in consecutive blocks of
-    ``block_rows(config.grid_points)`` rows (the last may be shorter)."""
+    ``block_rows(config.grid_points)`` rows (the last may be shorter),
+    built in ``work``.  Each block is a fresh array."""
     n = config.grid_points
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=config.spacing)
     weights = gaussian_spectrum(k, config.lambda_c)
@@ -207,6 +242,7 @@ def _field_blocks(config: SamplerConfig) -> Iterator[np.ndarray]:
     total = weights[0] + 2.0 * weights[1:-1].sum() + weights[-1]
     # Scale so the synthesized field has unit variance.
     amplitude = n / math.sqrt(total)
+    part_weights = np.repeat(np.sqrt(weights), 2)
     # One Philox re-keyed per realization draws the same stream as
     # Philox(key=[seed, i]) without building an unused entropy SeedSequence.
     bitgen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
@@ -216,13 +252,15 @@ def _field_blocks(config: SamplerConfig) -> Iterator[np.ndarray]:
     rows = block_rows(n)
     for start in range(0, config.realizations, rows):
         stop = min(start + rows, config.realizations)
-        z = np.empty((stop - start, 2, k.size))
+        z = work.normals[: stop - start]
         for row, i in enumerate(range(start, stop)):
             key[1] = i
             bitgen.state = state
             rng.standard_normal(out=z[row])
-        block = np.fft.irfft(_mode_coefficients(z, weights), n=n, axis=1) * amplitude
-        if not np.all(np.isfinite(block)):
+        coeff = _mode_coefficients(z, part_weights, work.modes[: stop - start])
+        block = np.fft.irfft(coeff, n=n, axis=1)
+        block *= amplitude
+        if not np.isfinite(block, out=work.finite[: stop - start]).all():
             raise ConfigError("field values must be finite")
         yield block
 
@@ -234,7 +272,8 @@ def sample_field(config: SamplerConfig) -> NoiseField:
     """
     values = np.empty((config.realizations, config.grid_points))
     start = 0
-    for block in _field_blocks(config):
+    work = _Workspace(config.grid_points, config.realizations)
+    for block in _field_blocks(config, work):
         values[start : start + len(block)] = block
         start += len(block)
     return NoiseField(values=values, extent=config.extent, lambda_c=config.lambda_c, seed=config.seed)
@@ -248,25 +287,32 @@ class _Accumulator:
     merged across blocks with the pairwise formulas of Chan et al. and
     Pebay (SAND2008-6212)."""
 
-    def __init__(self, grid_points: int):
+    def __init__(self, work: _Workspace):
+        self.work = work
         self.rows = 0
-        self.power_sum = np.zeros(grid_points // 2 + 1)
+        self.power_sum = np.zeros(work.power.shape[1])
         self.count = 0
         self.mean = 0.0
         self.m2 = self.m3 = self.m4 = 0.0
 
     def add(self, block: np.ndarray) -> None:
-        for power in np.abs(np.fft.rfft(block, axis=1)) ** 2:
+        rows = block.shape[0]
+        spectrum = np.fft.rfft(block, axis=1, out=self.work.modes[:rows])
+        powers = np.abs(spectrum, out=self.work.power[:rows])
+        for power in np.square(powers, out=powers):
             self.power_sum += power
-        self.rows += block.shape[0]
+        self.rows += rows
         x = block.ravel()
         nb = x.size
         mean_b = float(x.mean())
-        c = x - mean_b
-        c2 = c * c
+        c, c2 = self.work.moment_scratch(nb)
+        np.subtract(x, mean_b, out=c)
+        np.multiply(c, c, out=c2)
         m2_b = float(c2.sum())
-        m3_b = float((c2 * c).sum())
-        m4_b = float((c2 * c2).sum())
+        c3 = np.multiply(c2, c, out=c)
+        m3_b = float(c3.sum())
+        c4 = np.multiply(c2, c2, out=c)
+        m4_b = float(c4.sum())
         na = self.count
         n = na + nb
         delta = mean_b - self.mean
@@ -290,7 +336,7 @@ class _Accumulator:
 def _accumulate(field: NoiseField) -> _Accumulator:
     """A stored field's rows through the pipeline blocks."""
     m, n = field.values.shape
-    acc = _Accumulator(n)
+    acc = _Accumulator(_Workspace(n, m))
     rows = block_rows(n)
     for start in range(0, m, rows):
         acc.add(field.values[start : start + rows])
@@ -436,8 +482,9 @@ def sample_report(config: SamplerConfig, on_block: Callable[[np.ndarray], object
     the field: each block of realizations is passed to ``on_block`` (for
     example to write it out) and folded into the estimators before the
     next is drawn, so memory stays bounded by one block."""
-    acc = _Accumulator(config.grid_points)
-    for block in _field_blocks(config):
+    work = _Workspace(config.grid_points, config.realizations)
+    acc = _Accumulator(work)
+    for block in _field_blocks(config, work):
         if on_block is not None:
             on_block(block)
         acc.add(block)

@@ -53,3 +53,20 @@ def traced_peak(fn: Callable[[], Any]) -> Traced:
     finally:
         tracemalloc.stop()
     return Traced(result, peak, kept)
+
+
+def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Assert that two float arrays hold the same bit patterns (so 0.0 and
+    -0.0 differ, and equal NaNs match); a failure names the first
+    differing index and both values in ``float.hex`` form."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype, f"dtype {actual.dtype} != {expected.dtype}"
+    assert actual.shape == expected.shape, f"shape {actual.shape} != {expected.shape}"
+    bits = np.dtype(f"u{actual.dtype.itemsize}")
+    differ = np.flatnonzero(np.ascontiguousarray(actual).view(bits) != np.ascontiguousarray(expected).view(bits))
+    if differ.size:
+        where = np.unravel_index(differ[0], actual.shape)
+        raise AssertionError(
+            f"{differ.size} of {actual.size} values differ in their bits; first at index {tuple(map(int, where))}: "
+            f"{float(actual[where]).hex()} != {float(expected[where]).hex()}"
+        )

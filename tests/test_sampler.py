@@ -18,7 +18,9 @@ from qvac import (
     sample_field,
     sample_report,
 )
-from qvac.sampler import block_rows
+from qvac.sampler import BLOCK_SAMPLES, _field_blocks, _Workspace, block_rows
+
+from helpers import assert_same_bits, traced_peak
 
 LC = 1.0e-9
 
@@ -292,3 +294,41 @@ class TestBlockPipeline:
         report = json.loads(report_json_bytes(build_sample_report(cfg, field)))
         assert report["config"] == UNBLOCKED_REPORT["config"]
         assert report["correlation"] == UNBLOCKED_REPORT["correlation"]
+
+
+#: 25.6 points per lambda_c: sqrt(weights) underflows to 0 above mode 174
+#: of 256, so those coefficients are zeros of either sign.
+UNDERFLOW = dict(grid_points=512, extent=20.0 * LC, seed=2, realizations=block_rows(512) + 5)
+
+
+class TestWorkspace:
+    """One workspace serves every block of a call; what leaves the pipeline
+    is a fresh array, and the bits are the per-realization reference's."""
+
+    @pytest.mark.parametrize("params", [MULTI_BLOCK, UNDERFLOW], ids=["short-last-block", "underflow"])
+    def test_blocks_equal_the_reference_bytes(self, params):
+        cfg = make_config(**params)
+        reference = reference_field(cfg)
+        if params is UNDERFLOW:
+            k = 2.0 * math.pi * np.fft.rfftfreq(cfg.grid_points, d=cfg.spacing)
+            assert np.count_nonzero(np.sqrt(gaussian_spectrum(k, LC)) == 0.0) > 0
+        rows = block_rows(cfg.grid_points)
+        blocks = list(_field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations)))
+        assert [len(b) for b in blocks] == [rows, cfg.realizations - rows]
+        for start, block in zip(range(0, cfg.realizations, rows), blocks):
+            assert block.tobytes() == reference[start : start + len(block)].tobytes()
+
+    def test_yielded_blocks_are_not_overwritten(self):
+        # Kept without a copy: a buffer reused across blocks would hold the
+        # last block's rows in the first block's place.
+        cfg = make_config(**MULTI_BLOCK)
+        blocks = list(_field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations)))
+        assert_same_bits(np.concatenate(blocks), reference_field(cfg))
+
+    def test_streamed_report_peak_is_bounded_by_the_workspace(self):
+        # The workspace (normals, modes, |rfft|^2 rows: ~2.5 blocks) plus the
+        # block being drawn and the one just yielded.
+        cfg = make_config(grid_points=1024, realizations=4 * block_rows(1024) + 3)
+        sample_report(make_config(grid_points=256, extent=24.0 * LC, realizations=1))  # lazy imports
+        peak = traced_peak(lambda: sample_report(cfg)).peak
+        assert peak <= 5 * BLOCK_SAMPLES * 8, peak / (BLOCK_SAMPLES * 8)
