@@ -288,11 +288,15 @@ SPACING_RTOL = 1e-9
 
 
 def _uniform_step(axis: np.ndarray, label: str, path: str) -> float:
-    """Step of an axis of sorted distinct values, which must be uniform."""
-    diffs = np.diff(axis)
-    if diffs.size == 0:
+    """Step of an axis of sorted distinct finite values, which must be
+    uniform and span less than the double range."""
+    if axis.size < 2:
         raise DomainError(f"{path}: column {label!r} needs at least 2 distinct values")
-    step = float(diffs.mean())
+    with np.errstate(over="ignore"):
+        diffs = np.diff(axis)
+        step = float(diffs.mean())
+    if not math.isfinite(step):
+        raise DomainError(f"{path}: column {label!r} spans more than the double range")
     if np.max(np.abs(diffs - step)) > SPACING_RTOL * abs(step):
         raise DomainError(f"{path}: column {label!r} is not uniformly spaced (tolerance {SPACING_RTOL:g} relative)")
     return step

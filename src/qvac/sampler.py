@@ -18,7 +18,15 @@ samples) at a time, and each block is folded into one accumulator holding
 the periodogram sum and the centered moments.  Memory is bounded by the
 block, not by the number of realizations, and a stored field's rows run
 through the same blocks, so ``sample_report(config)`` equals
-``build_sample_report(config, sample_field(config))``.
+``build_sample_report(config, sample_field(config))``.  Every per-block
+intermediate (normals, mode coefficients, spectra, moment temporaries)
+is written into one workspace allocated per call; only the field blocks
+handed to callers are fresh arrays, so a caller may keep them.
+
+The gaussianity thresholds count effective samples: field samples are
+correlated over about lambda_c / spacing neighbours, and the correlation
+the estimators already hold sets how much that widens the spread of the
+sample skewness and kurtosis.
 """
 
 from __future__ import annotations
@@ -187,23 +195,24 @@ class NoiseField:
 
 
 class _Workspace:
-    """Per-block scratch of the pipeline over ``realizations`` rows of
+    """Scratch of the block pipeline over ``realizations`` rows of
     ``grid_points`` samples, allocated once per call for the largest block
-    and overwritten by every block: the standard normals, the complex modes (the synthesis
-    coefficients, then the block's rfft) and the ``|rfft|^2`` rows.  The
-    centered-moment temporaries reuse the normals and the modes, both
-    dead once the block is transformed; each holds at least
-    ``rows * grid_points`` doubles."""
+    and overwritten by every block: the standard normals, the complex
+    modes (the synthesis coefficients, then the block's rfft) and the
+    ``|rfft|^2`` rows."""
 
     def __init__(self, grid_points: int, realizations: int):
         rows = min(block_rows(grid_points), realizations)
         modes = grid_points // 2 + 1
+        self.grid_points = grid_points
         self.normals = np.empty((rows, 2, modes))
         self.modes = np.empty((rows, modes), dtype=complex)
         self.power = np.empty((rows, modes))
         self.finite = np.empty((rows, grid_points), dtype=bool)
 
     def moment_scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Two float buffers of ``size`` <= rows * grid_points values over the
+        normals and the modes, both dead once a block is transformed."""
         return self.normals.reshape(-1)[:size], self.modes.view(float).reshape(-1)[:size]
 
 
@@ -343,13 +352,19 @@ def _accumulate(field: NoiseField) -> _Accumulator:
     return acc
 
 
-def _correlation(acc: _Accumulator, spacing: float) -> CorrelationFunction:
-    n = 2 * (acc.power_sum.size - 1)
+def _autocorrelation(acc: _Accumulator) -> np.ndarray:
+    """Circular autocorrelation at all n lags, from the mean periodogram,
+    normalized to 1 at lag zero."""
+    n = acc.work.grid_points
     acov = np.fft.irfft(acc.mean_power(), n=n) / n
-    g = acov / acov[0]
-    lags = np.arange(n // 2 + 1)
+    return acov / acov[0]
+
+
+def _correlation(acc: _Accumulator, spacing: float) -> CorrelationFunction:
+    g = _autocorrelation(acc)
+    lags = np.arange(g.size // 2 + 1)
     xi = lags * spacing
-    g_half = g[: n // 2 + 1]
+    g_half = g[: g.size // 2 + 1]
     return CorrelationFunction(xi_grid=xi, g_values=g_half, lambda_c=e_folding_lag(xi, g_half))
 
 
@@ -373,12 +388,21 @@ def mean_periodogram(field: NoiseField) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class GaussianityReport:
     """Sample skewness and excess kurtosis with 5-sigma pass thresholds
-    from the independent-Gaussian moment-error formulas sqrt(6/N) and
-    sqrt(24/N)."""
+    5*sqrt(6/N_skew) and 5*sqrt(24/N_kurt).
+
+    Neighbouring field samples are correlated, which widens the sampling
+    spread of both moments by about sum(rho^3) and sum(rho^4) over all
+    circular lags (Lomnicki 1961; Lobato & Velasco 2004), so the
+    independent-Gaussian formulas take the effective sample counts
+    N_skew = N / max(1, sum(rho^3)) and N_kurt = N / sum(rho^4).  A
+    degenerate field has no correlation to count with: its effective
+    counts and thresholds are NaN (null in JSON)."""
 
     sample_count: int
     skewness: float
     excess_kurtosis: float
+    effective_samples_skew: float
+    effective_samples_kurt: float
     skew_threshold: float
     kurt_threshold: float
     passed: bool
@@ -392,8 +416,10 @@ class GaussianityReport:
             "sample_count": self.sample_count,
             "skewness": _json_safe(self.skewness),
             "excess_kurtosis": _json_safe(self.excess_kurtosis),
-            "skew_threshold": self.skew_threshold,
-            "kurt_threshold": self.kurt_threshold,
+            "effective_samples_skew": _json_safe(self.effective_samples_skew),
+            "effective_samples_kurt": _json_safe(self.effective_samples_kurt),
+            "skew_threshold": _json_safe(self.skew_threshold),
+            "kurt_threshold": _json_safe(self.kurt_threshold),
             "passed": self.passed,
             "degenerate": self.degenerate,
         }
@@ -401,8 +427,6 @@ class GaussianityReport:
 
 def _gaussianity(acc: _Accumulator) -> GaussianityReport:
     n = acc.count
-    skew_threshold = 5.0 * math.sqrt(6.0 / n)
-    kurt_threshold = 5.0 * math.sqrt(24.0 / n)
     m2 = acc.m2 / n
     scale = m2 + acc.mean * acc.mean + np.finfo(float).tiny
     if m2 <= 1e-30 * scale:
@@ -410,11 +434,19 @@ def _gaussianity(acc: _Accumulator) -> GaussianityReport:
             sample_count=n,
             skewness=math.nan,
             excess_kurtosis=math.nan,
-            skew_threshold=skew_threshold,
-            kurt_threshold=kurt_threshold,
+            effective_samples_skew=math.nan,
+            effective_samples_kurt=math.nan,
+            skew_threshold=math.nan,
+            kurt_threshold=math.nan,
             passed=False,
             degenerate=True,
         )
+    rho = _autocorrelation(acc)
+    # sum(rho^4) >= rho[0]^4 = 1; the floor keeps N_skew <= N as well.
+    n_skew = n / max(1.0, float(np.sum(rho**3)))
+    n_kurt = n / float(np.sum(rho**4))
+    skew_threshold = 5.0 * math.sqrt(6.0 / n_skew)
+    kurt_threshold = 5.0 * math.sqrt(24.0 / n_kurt)
     skewness = (acc.m3 / n) / m2**1.5
     excess_kurtosis = (acc.m4 / n) / m2**2 - 3.0
     passed = abs(skewness) < skew_threshold and abs(excess_kurtosis) < kurt_threshold
@@ -422,6 +454,8 @@ def _gaussianity(acc: _Accumulator) -> GaussianityReport:
         sample_count=n,
         skewness=skewness,
         excess_kurtosis=excess_kurtosis,
+        effective_samples_skew=n_skew,
+        effective_samples_kurt=n_kurt,
         skew_threshold=skew_threshold,
         kurt_threshold=kurt_threshold,
         passed=passed,

@@ -520,6 +520,12 @@ INGEST_CASES = {
     ), True),
     "lattice_inf_coordinate": (_density_text(_edit(_LATTICE_ROWS, 100, *_LATTICE_ROWS[100][:2], "inf", "1.0"),
                                              header="qx,qy,qz,n"), True),
+    # -1.575e308 .. 1.575e308 in uniform steps of 4.5e307
+    "q_spans_past_double_range": (_density_text([[repr(4.5e307 * (i - 3.5)), "1.0"] for i in range(8)]), True),
+    "t_spans_past_double_range": (_density_text(
+        [[t, q, n] for (_, q, n), t in zip(_TIME_ROWS, ["-1e+308"] * 10 + ["0.0"] * 10 + ["1e+308"] * 10)],
+        header="t,q,n",
+    ), True),
 }
 
 #: name -> error message after the "{path}: " prefix, for the INGEST_CASES
@@ -533,6 +539,8 @@ LAYOUT_FAULTS = {
     "one_slice_time_layout": "column 't' needs at least 2 distinct values",
     "time_layout_q_differs": "rows do not form a complete lattice of shape (3, 20)",
     "lattice_inf_coordinate": "column 'qz' must hold finite coordinates",
+    "q_spans_past_double_range": "column 'q' spans more than the double range",
+    "t_spans_past_double_range": "column 't' spans more than the double range",
 }
 
 

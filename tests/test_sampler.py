@@ -181,6 +181,43 @@ class TestGaussianity:
         report = gaussianity_check(field)
         assert report.degenerate
         assert not report.passed
+        assert report.as_dict()["skew_threshold"] is None
+        assert report.as_dict()["effective_samples_kurt"] is None
+
+    def test_thresholds_use_effective_sample_counts(self):
+        cfg = make_config(grid_points=256, extent=25.6 * LC, seed=4, realizations=16)
+        field = sample_field(cfg)
+        report = gaussianity_check(field)
+        power = (np.abs(np.fft.rfft(field.values, axis=1)) ** 2).mean(axis=0)
+        rho = np.fft.irfft(power, n=cfg.grid_points)
+        rho /= rho[0]
+        count = field.values.size
+        assert report.effective_samples_skew == pytest.approx(count / np.sum(rho**3), rel=1e-12)
+        assert report.effective_samples_kurt == pytest.approx(count / np.sum(rho**4), rel=1e-12)
+        # lambda_c / h = 10: about ten samples per independent one
+        assert 5.0 < count / report.effective_samples_skew < 20.0
+        assert report.skew_threshold == 5.0 * math.sqrt(6.0 / report.effective_samples_skew)
+        assert report.kurt_threshold == 5.0 * math.sqrt(24.0 / report.effective_samples_kurt)
+
+    def test_white_field_counts_every_sample(self):
+        values = np.random.default_rng(6).standard_normal((64, 256))
+        report = gaussianity_check(NoiseField(values=values, extent=24.0 * LC, lambda_c=LC, seed=0))
+        assert report.effective_samples_skew == pytest.approx(values.size, rel=0.05)
+        assert report.effective_samples_kurt == pytest.approx(values.size, rel=0.05)
+        assert report.effective_samples_skew <= values.size
+
+    def test_false_alarm_rate_over_many_seeds(self):
+        # 5-sigma thresholds: a correct field should essentially never fail.
+        # With lambda_c/h = 10 neighbouring samples are strongly correlated;
+        # thresholds from the independent-sample count failed 41 of these 200.
+        failures = [
+            seed
+            for seed in range(200)
+            if not gaussianity_check(
+                sample_field(make_config(grid_points=256, extent=25.6 * LC, seed=seed, realizations=64))
+            ).passed
+        ]
+        assert len(failures) <= 1, failures
 
     def test_sign_flip_symmetry(self):
         field = sample_field(make_config(seed=5, realizations=16))
