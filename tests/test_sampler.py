@@ -333,8 +333,8 @@ class TestBlockPipeline:
         assert report["correlation"] == UNBLOCKED_REPORT["correlation"]
 
 
-#: 25.6 points per lambda_c: sqrt(weights) underflows to 0 above mode 174
-#: of 256, so those coefficients are zeros of either sign.
+#: 25.6 points per lambda_c: sqrt(weights) underflows to 0 at the top 83
+#: of 257 modes, so those coefficients are zeros of either sign.
 UNDERFLOW = dict(grid_points=512, extent=20.0 * LC, seed=2, realizations=block_rows(512) + 5)
 
 
@@ -342,13 +342,13 @@ class TestWorkspace:
     """One workspace serves every block of a call; what leaves the pipeline
     is a fresh array, and the bits are the per-realization reference's."""
 
-    @pytest.mark.parametrize("params", [MULTI_BLOCK, UNDERFLOW], ids=["short-last-block", "underflow"])
-    def test_blocks_equal_the_reference_bytes(self, params):
+    @pytest.mark.parametrize("params, zero_modes", [(MULTI_BLOCK, 0), (UNDERFLOW, 83)],
+                             ids=["short-last-block", "underflow"])
+    def test_blocks_equal_the_reference_bytes(self, params, zero_modes):
         cfg = make_config(**params)
+        k = 2.0 * math.pi * np.fft.rfftfreq(cfg.grid_points, d=cfg.spacing)
+        assert np.count_nonzero(np.sqrt(gaussian_spectrum(k, LC)) == 0.0) == zero_modes
         reference = reference_field(cfg)
-        if params is UNDERFLOW:
-            k = 2.0 * math.pi * np.fft.rfftfreq(cfg.grid_points, d=cfg.spacing)
-            assert np.count_nonzero(np.sqrt(gaussian_spectrum(k, LC)) == 0.0) > 0
         rows = block_rows(cfg.grid_points)
         blocks = list(_field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations)))
         assert [len(b) for b in blocks] == [rows, cfg.realizations - rows]
