@@ -98,7 +98,9 @@ def gaussian_spectrum(k, lambda_c: float):
     if not lambda_c > 0.0:
         raise DomainError("lambda_c must be > 0")
     k = np.asarray(k, dtype=float)
-    out = np.exp(-((k * lambda_c / 2.0) ** 2))
+    # A square past the double range is inf, and exp(-inf) = 0 is the weight.
+    with np.errstate(over="ignore"):
+        out = np.exp(-((k * lambda_c / 2.0) ** 2))
     return out if out.ndim else float(out)
 
 
@@ -108,7 +110,9 @@ def analytic_correlation(xi, lambda_c: float):
     if not lambda_c > 0.0:
         raise DomainError("lambda_c must be > 0")
     xi = np.asarray(xi, dtype=float)
-    out = np.exp(-((xi / lambda_c) ** 2))
+    # A square past the double range is inf, and exp(-inf) = 0 is the value.
+    with np.errstate(over="ignore"):
+        out = np.exp(-((xi / lambda_c) ** 2))
     return out if out.ndim else float(out)
 
 

@@ -23,6 +23,16 @@ intermediate (normals, mode coefficients, spectra, moment temporaries)
 is written into one workspace allocated per call; only the field blocks
 handed to callers are fresh arrays, so a caller may keep them.
 
+Where the process may run on two or more CPUs, each block's rows are split
+into two contiguous ranges: the caller works through the first while one
+helper thread works through the second (numpy releases the interpreter
+lock in the Philox draws, the coefficient products and the transforms).
+The split changes no bits: every row is keyed by its own realization
+index and transformed on its own, each range writes only its own rows of
+the workspace, and every merge across rows (the periodogram sum, the
+centered moments) runs on the caller, in index order, after the helper is
+joined.
+
 The gaussianity thresholds count effective samples: field samples are
 correlated over about lambda_c / spacing neighbours, and the correlation
 the estimators already hold sets how much that widens the spread of the
@@ -33,6 +43,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -240,6 +252,65 @@ def _mode_coefficients(z: np.ndarray, part_weights: np.ndarray, out: np.ndarray)
     return out
 
 
+def _row_workers() -> int:
+    """Threads a block's rows are split over: two where the process may
+    run on two or more CPUs, else one."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
+
+def _over_rows(rows: int, fn: Callable[[int, int], object]) -> None:
+    """Run ``fn(lo, hi)`` over the rows 0 .. rows - 1 of a block as two
+    contiguous ranges: the caller takes the first and one helper thread
+    the second, joined before this returns.  An exception raised in the
+    helper's range is raised here, on the caller; one raised in the
+    caller's range takes precedence.  With one worker, or a single row,
+    the caller runs the whole block and no thread is started."""
+    mid = (rows + 1) // 2
+    if mid == rows or _row_workers() < 2:
+        fn(0, rows)
+        return
+    errors: list[BaseException] = []
+
+    def helper() -> None:
+        try:
+            fn(mid, rows)
+        except BaseException as exc:  # re-raised on the caller below
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper, name="qvac-rows")
+    thread.start()
+    try:
+        fn(0, mid)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+class _RowNormals:
+    """Standard normals of realization i from one Philox re-keyed per
+    realization: the same stream as Philox(key=[seed, i]) without building
+    an unused entropy SeedSequence.  One thread at a time may draw; each
+    row range has its own."""
+
+    def __init__(self, seed: int):
+        self.bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self.rng = np.random.Generator(self.bitgen)
+        self.state = self.bitgen.state
+
+    def draw(self, first: int, z: np.ndarray) -> None:
+        """Realizations first, first + 1, ... into the rows of ``z``."""
+        key = self.state["state"]["key"]
+        for row in range(z.shape[0]):
+            key[1] = first + row
+            self.bitgen.state = self.state
+            self.rng.standard_normal(out=z[row])
+
+
 def _field_blocks(config: SamplerConfig, work: _Workspace) -> Iterator[np.ndarray]:
     """Realizations 0 .. config.realizations - 1 in consecutive blocks of
     ``block_rows(config.grid_points)`` rows (the last may be shorter),
@@ -252,25 +323,24 @@ def _field_blocks(config: SamplerConfig, work: _Workspace) -> Iterator[np.ndarra
     # Scale so the synthesized field has unit variance.
     amplitude = n / math.sqrt(total)
     part_weights = np.repeat(np.sqrt(weights), 2)
-    # One Philox re-keyed per realization draws the same stream as
-    # Philox(key=[seed, i]) without building an unused entropy SeedSequence.
-    bitgen = np.random.Philox(key=np.array([config.seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    key = state["state"]["key"]
+    # One stream per row range (the caller's starts at row 0), built here so
+    # that numpy.random is imported on the caller: imported on the helper
+    # thread, its allocations would stay in that thread's malloc arena.
+    streams = (_RowNormals(config.seed), _RowNormals(config.seed))
     rows = block_rows(n)
     for start in range(0, config.realizations, rows):
-        stop = min(start + rows, config.realizations)
-        z = work.normals[: stop - start]
-        for row, i in enumerate(range(start, stop)):
-            key[1] = i
-            bitgen.state = state
-            rng.standard_normal(out=z[row])
-        coeff = _mode_coefficients(z, part_weights, work.modes[: stop - start])
-        block = np.fft.irfft(coeff, n=n, axis=1)
-        block *= amplitude
-        if not np.isfinite(block, out=work.finite[: stop - start]).all():
-            raise ConfigError("field values must be finite")
+        block = np.empty((min(rows, config.realizations - start), n))
+
+        def synthesize(lo: int, hi: int) -> None:
+            z = work.normals[lo:hi]
+            streams[0 if lo == 0 else 1].draw(start + lo, z)
+            coeff = _mode_coefficients(z, part_weights, work.modes[lo:hi])
+            part = np.fft.irfft(coeff, n=n, axis=1, out=block[lo:hi])
+            part *= amplitude
+            if not np.isfinite(part, out=work.finite[lo:hi]).all():
+                raise ConfigError("field values must be finite")
+
+        _over_rows(block.shape[0], synthesize)
         yield block
 
 
@@ -306,15 +376,21 @@ class _Accumulator:
 
     def add(self, block: np.ndarray) -> None:
         rows = block.shape[0]
-        spectrum = np.fft.rfft(block, axis=1, out=self.work.modes[:rows])
-        powers = np.abs(spectrum, out=self.work.power[:rows])
-        for power in np.square(powers, out=powers):
+        work = self.work
+
+        def spectra(lo: int, hi: int) -> None:
+            spectrum = np.fft.rfft(block[lo:hi], axis=1, out=work.modes[lo:hi])
+            powers = np.abs(spectrum, out=work.power[lo:hi])
+            np.square(powers, out=powers)
+
+        _over_rows(rows, spectra)
+        for power in work.power[:rows]:
             self.power_sum += power
         self.rows += rows
         x = block.ravel()
         nb = x.size
         mean_b = float(x.mean())
-        c, c2 = self.work.moment_scratch(nb)
+        c, c2 = work.moment_scratch(nb)
         np.subtract(x, mean_b, out=c)
         np.multiply(c, c, out=c2)
         m2_b = float(c2.sum())

@@ -277,6 +277,15 @@ class TestCorrelation:
         assert out == ""
         assert err == "error: xi-max must be finite and > 0\n"
 
+    def test_lags_past_the_square_range_print_no_warning(self, capsys):
+        # (xi/lambda_c)^2 overflows to inf, and exp(-inf) = 0 is the value.
+        code, out, err = run_cli(
+            capsys, "correlation", "--mass", "1e-30", "--temp", "300", "--xi-max", "1e300", "--points", "4"
+        )
+        assert code == 0
+        assert err == ""
+        assert [row[2] for row in parse_csv(out)[2]] == [1.0, 0.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("mass, temp", [("1e-300", "1e-300"), ("1e300", "1e300")])
     def test_unrepresentable_correlation_length_exits_two(self, capsys, mass, temp):
         code, out, err = run_cli(capsys, "correlation", "--mass", mass, "--temp", temp)

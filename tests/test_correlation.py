@@ -129,6 +129,19 @@ class TestTransform:
         with pytest.raises(InsufficientTail):
             correlation_from_spectrum(spectrum, np.linspace(0.0, lam_c, 8))
 
+    @pytest.mark.parametrize("tail, rings", [(1.001e-12, True), (1e-12, False), (0.999e-12, False)])
+    def test_tail_fraction_threshold(self, tail, rings):
+        # S(k_max)/max(S) = tail against the documented TAIL_FRACTION of 1e-12
+        k = np.linspace(0.0, 1.0, 256)
+        s = np.exp(-k)
+        s[-1] = tail
+        spectrum = ModeSpectrum(k, s)
+        if rings:
+            with pytest.raises(InsufficientTail):
+                correlation_from_spectrum(spectrum, np.linspace(0.0, 1.0, 8))
+        else:
+            assert correlation_from_spectrum(spectrum, np.linspace(0.0, 1.0, 8)).g_values[0] == 1.0
+
     def test_minimum_point_count(self):
         lam_c = 1e-9
         k = np.linspace(0.0, 12.0 / lam_c, 128)

@@ -1,5 +1,8 @@
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from qvac import (
     sample_field,
     sample_report,
 )
-from qvac.sampler import BLOCK_SAMPLES, _field_blocks, _Workspace, block_rows
+from qvac import sampler
+from qvac.sampler import BLOCK_SAMPLES, _field_blocks, _over_rows, _Workspace, block_rows
 
 from helpers import assert_same_bits, traced_peak
 
@@ -369,3 +373,101 @@ class TestWorkspace:
         sample_report(make_config(grid_points=256, extent=24.0 * LC, realizations=1))  # lazy imports
         peak = traced_peak(lambda: sample_report(cfg)).peak
         assert peak <= 5 * BLOCK_SAMPLES * 8, peak / (BLOCK_SAMPLES * 8)
+
+
+#: One row past a block: the last block has one row, which the caller
+#: runs alone.
+ONE_ROW_TAIL = dict(grid_points=256, extent=2.4e-08, seed=5, realizations=block_rows(256) + 1)
+
+
+def split_runs(monkeypatch, fn):
+    """``fn()`` with every block on the caller, then with each block's rows
+    split over two threads (whatever the CPU count), switching between
+    them as often as the interpreter can."""
+    monkeypatch.setattr(sampler, "_row_workers", lambda: 1)
+    serial = fn()
+    monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return serial, fn()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestRowSplit:
+    """Each block's rows run as two ranges, the second on a helper thread;
+    the bits are those of one range on the caller."""
+
+    def test_ranges_and_threads(self, monkeypatch):
+        def ranges(rows):
+            seen = []
+            _over_rows(rows, lambda lo, hi: seen.append((lo, hi, threading.current_thread())))
+            return sorted(seen, key=lambda r: r[0])
+
+        caller = threading.current_thread()
+        monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
+        (lo0, hi0, t0), (lo1, hi1, t1) = ranges(5)
+        assert (lo0, hi0, lo1, hi1) == (0, 3, 3, 5)
+        assert t0 is caller and t1 is not caller
+        assert [r[:2] for r in ranges(1)] == [(0, 1)]
+        monkeypatch.setattr(sampler, "_row_workers", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread was started"))
+        assert ranges(5) == [(0, 5, caller)]
+
+    def test_one_cpu_keeps_one_worker(self, monkeypatch):
+        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sampler._row_workers() == 1
+        monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert sampler._row_workers() == 2
+
+    @pytest.mark.parametrize("params", [MULTI_BLOCK, UNDERFLOW, ONE_ROW_TAIL],
+                             ids=["short-last-block", "underflow", "one-row-tail"])
+    def test_split_changes_no_bits(self, monkeypatch, params):
+        cfg = make_config(**params)
+        serial, split = split_runs(
+            monkeypatch, lambda: list(_field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations)))
+        )
+        assert [len(b) for b in split] == [len(b) for b in serial]
+        assert b"".join(b.tobytes() for b in split) == b"".join(b.tobytes() for b in serial)
+        serial, split = split_runs(monkeypatch, lambda: report_json_bytes(sample_report(cfg)))
+        assert split == serial
+
+    @pytest.mark.parametrize("fault, error", [("non-finite", ConfigError), ("raise", KeyError)])
+    def test_helper_failure_reaches_the_caller(self, monkeypatch, capsys, fault, error):
+        # Only the helper's range fails; a thread's uncaught exception would
+        # go to threading.excepthook (stderr) and the call would return.
+        caller = threading.current_thread()
+        coefficients = sampler._mode_coefficients
+
+        def helper_fails(z, part_weights, out):
+            coefficients(z, part_weights, out)
+            if threading.current_thread() is not caller:
+                if fault == "raise":
+                    raise KeyError("helper")
+                out[:] = np.nan
+            return out
+
+        monkeypatch.setattr(sampler, "_mode_coefficients", helper_fails)
+        monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
+        threads = threading.active_count()
+        with pytest.raises(error):
+            sample_report(make_config(**MULTI_BLOCK))
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == ""
+
+    def test_caller_failure_still_joins_the_helper(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
+        done = []
+
+        def ranges(lo, hi):
+            if lo == 0:
+                raise ValueError("caller")
+            time.sleep(0.1)  # still running when the caller's range fails
+            done.append((lo, hi))
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="caller"):
+            _over_rows(4, ranges)
+        assert threading.active_count() == threads
+        assert done == [(2, 4)]
