@@ -104,7 +104,7 @@ def _emit_table(args, command, meta, columns: dict, footer=None, axes: dict | No
     ``axes``, when given, maps the names of the leading columns to 1-D
     coordinate axes of a row-major grid (the last fastest) whose cells are
     the rows: row r holds the coordinates of cell r, then ``columns`` at r.
-    CSV passes the axes to ``render.csv_rows``, which formats the axis
+    CSV passes the axes to ``render.write_rows``, which formats the axis
     values a pass touches and copies their text to the rows that repeat
     them, so no grid-sized coordinate column is built; JSON materialises
     the coordinates.  ``footer`` maps names to floats: a JSON ``footer``
@@ -126,7 +126,7 @@ def _emit_table(args, command, meta, columns: dict, footer=None, axes: dict | No
         fh.write(_csv_header(comments, [*axes, *columns]))
         for start in range(0, len(arrays[0]), RENDER_ROWS):
             block = np.column_stack([a[start:start + RENDER_ROWS] for a in arrays])
-            fh.write(render.csv_rows(block, grid, start))
+            render.write_rows(fh, block, grid, start)
         fh.write("".join(f"# {key} = {_fmt(value)}\n" for key, value in (footer or {}).items()).encode())
 
 
@@ -272,7 +272,7 @@ def _cmd_sample(args) -> int:
         comments = [f"{key} = {value}" for key, value in config.as_dict().items()]
         with open(args.field_out, "wb") as fh:
             fh.write(_csv_header(comments, (f"x{i}" for i in range(config.grid_points))))
-            report = smp.sample_report(config, lambda block: fh.write(render.csv_rows(block)))
+            report = smp.sample_report(config, lambda block: render.write_rows(fh, block))
     with open(args.report_out, "wb") as fh:
         fh.write(smp.report_json_bytes(report))
     summary = "pass" if report["pass"] else "FAIL"

@@ -8,7 +8,9 @@ Gaussian, G(xi) = exp[-(xi/lambda_c)^2], which provides an analytic target
 for the numerical transform.  Correlations are normalized to G(0) = 1
 (only the shape is physical here), and all transform arithmetic involves
 k and xi exclusively through their products, so one code path covers any
-correlation-length scale.
+correlation-length scale.  The trapezoid rule samples cos(k*xi) at the
+grid step dk, so lags past pi/dk alias onto shorter ones; the transform
+refuses them (max_lag).
 """
 
 from __future__ import annotations
@@ -138,17 +140,29 @@ def e_folding_lag(xi_grid: np.ndarray, g_values: np.ndarray) -> float:
     return x0 + (g0 - target) / (g0 - g1) * (x1 - x0)
 
 
+def max_lag(spectrum: ModeSpectrum) -> float:
+    """Largest lag the cosine transform resolves: pi/dk for the grid step
+    dk.  The trapezoid rule samples cos(k*xi) every dk, so cos(k*xi) and
+    cos(k*(2*pi/dk - xi)) take the same samples, and a lag past pi/dk
+    transforms as one below it."""
+    k = spectrum.k_grid
+    return math.pi / ((float(k[-1]) - float(k[0])) / (k.size - 1))
+
+
 def correlation_from_spectrum(spectrum: ModeSpectrum, xi_grid) -> CorrelationFunction:
     """Cosine-transform a spectrum into its spatial correlation function.
 
     G(xi) is proportional to the integral of cos(k*xi) S(k) dk over the
     tabulated grid (trapezoid rule) and is normalized so G(0) = 1.  The
     spectrum must have decayed below TAIL_FRACTION of its maximum at the
-    last grid point, otherwise the truncated transform would ring.
+    last grid point, otherwise the truncated transform would ring, and no
+    lag may exceed max_lag(spectrum), past which it aliases.
 
-    The lags are transformed in blocks of about BLOCK_VALUES // k.size;
-    each lag's value is its own row of products and sum, so the result is
-    bit for bit that of transforming every lag at once.
+    The lags are transformed in blocks of about BLOCK_VALUES // k.size
+    through one scratch buffer allocated per call; each lag's value is its
+    own row of products and sum, in the operation order of np.trapezoid,
+    so the result is bit for bit that of np.trapezoid over every lag at
+    once.
     """
     k = spectrum.k_grid
     s = spectrum.s_values
@@ -165,12 +179,27 @@ def correlation_from_spectrum(spectrum: ModeSpectrum, xi_grid) -> CorrelationFun
     xi = np.asarray(xi_grid, dtype=float)
     if xi.ndim != 1 or xi.size == 0 or np.any(xi < 0.0):
         raise DomainError("xi_grid must be a 1-D array of non-negative lags")
-    rows = max(1, BLOCK_VALUES // k.size)
+    limit = max_lag(spectrum)
+    if float(xi.max()) > limit:
+        raise DomainError(
+            f"lag {float(xi.max()):.6g} is past pi/dk = {limit:.6g} of the k grid, where the transform aliases"
+        )
+    rows = min(xi.size, max(1, BLOCK_VALUES // k.size))
+    dk = np.diff(k)
+    scratch = np.empty(rows * (2 * k.size - 1))
+    waves = scratch[: rows * k.size].reshape(rows, k.size)
+    pairs = scratch[rows * k.size :].reshape(rows, k.size - 1)
     g_raw = np.empty(xi.size)
     for start in range(0, xi.size, rows):
-        wave = np.cos(np.outer(xi[start:start + rows], k))
+        lags = xi[start:start + rows]
+        wave, pair = waves[: lags.size], pairs[: lags.size]
+        np.multiply(lags[:, None], k, out=wave)
+        np.cos(wave, out=wave)
         wave *= s
-        g_raw[start:start + rows] = np.trapezoid(wave, k, axis=1)
+        np.add(wave[:, 1:], wave[:, :-1], out=pair)
+        np.multiply(dk, pair, out=pair)
+        np.divide(pair, 2.0, out=pair)
+        np.add.reduce(pair, axis=1, out=g_raw[start:start + lags.size])
     norm = np.trapezoid(s, k)
     g = g_raw / norm
     return CorrelationFunction(xi_grid=xi, g_values=g, lambda_c=e_folding_lag(xi, g))

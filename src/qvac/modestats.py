@@ -23,7 +23,9 @@ that both give the same bits: arithmetic and sqrt run as numpy ufuncs,
 which are correctly rounded like Python float operations, while exp, expm1
 and powers go element by element through libm (the math module and float
 ``**``), because numpy's SIMD versions differ from libm in the last bit
-for a few values in 10^4.
+for a few values in 10^4.  So the Bose mean energy of an array maps only
+math.expm1 (math.exp past EXP_CUTOFF) over its elements and divides in
+numpy.
 """
 
 from __future__ import annotations
@@ -75,12 +77,22 @@ def _libm(fn, x, *args):
         raise DomainError(f"{fn.__name__} overflows the double range at these inputs") from None
 
 
-def _bose(e: float, x: float) -> float:
-    """Bose mean energy e/(exp(x) - 1) of one mode at x = e/kT, or e*exp(-x)
-    past EXP_CUTOFF; mapped over arrays by _libm."""
-    if not x > 0.0:
+def _bose(e, x):
+    """Bose mean energy e/(exp(x) - 1) of a mode at x = e/kT, or e*exp(-x)
+    past EXP_CUTOFF.  A float takes one libm call.  For arrays, math.expm1
+    runs over the elements up to EXP_CUTOFF and math.exp(-x) over those past
+    it, and the division and the product run in numpy: they are the same
+    IEEE operations as Python's / and *, overflowing to inf just as quietly."""
+    if not _all(x > 0.0):
         raise DomainError("E/(k_B*T) must be > 0; the mode energy underflows at these inputs")
-    return e * math.exp(-x) if x > EXP_CUTOFF else e / math.expm1(x)
+    if isinstance(x, float):
+        return e * math.exp(-x) if x > EXP_CUTOFF else e / math.expm1(x)
+    below, past = x <= EXP_CUTOFF, x > EXP_CUTOFF
+    out = np.empty(x.shape)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        out[below] = e[below] / _libm(math.expm1, x[below])
+        out[past] = e[past] * _libm(math.exp, -x[past])
+    return out
 
 
 def _boltzmann(x: float) -> float:
@@ -150,7 +162,7 @@ def mean_energy(wavelength: float | np.ndarray, state: ThermalState) -> float | 
     Summing the geometric occupation series gives exactly this closed
     form; expm1 keeps it accurate in the equipartition limit E << kT.
     """
-    return _libm(_bose, mode_energy_massive(wavelength, state), _energy_over_kt(wavelength, state))
+    return _bose(mode_energy_massive(wavelength, state), _energy_over_kt(wavelength, state))
 
 
 def mode_density(k: float | np.ndarray) -> float | np.ndarray:
@@ -182,7 +194,7 @@ def photon_mean_energy(omega: float | np.ndarray, temperature: float) -> float |
     if not (math.isfinite(temperature) and CONSTANTS.k_boltzmann * temperature > 0.0):
         raise DomainError("temperature must be finite, with k_B*T > 0")
     e = CONSTANTS.hbar * omega
-    return _libm(_bose, e, e / (CONSTANTS.k_boltzmann * temperature))
+    return _bose(e, e / (CONSTANTS.k_boltzmann * temperature))
 
 
 def photon_spectrum(omega: float | np.ndarray, temperature: float) -> tuple:

@@ -10,144 +10,312 @@ columns are the coordinates of a row-major grid takes them as the grid's
 rendered once per pass and copied to the rows that repeat it, so no
 grid-sized coordinate column is built or formatted.
 
-The digits of a finite nonzero x come from y = |x| * 10^(16-E), scaled in
-longdouble against a table of correctly rounded powers of ten, where E is
-the decimal exponent that puts y in [10^16, 10^17): round(y) is the digit
-string.  A longdouble with a 64-bit significand (x87 extended precision)
-computes y to within AMBIGUITY_BAND of the exact product, so round(y) is
-the correctly rounded digit string unless the fraction of y lies within
-that band of 0.5.  Those values, where rounding cannot be decided from y
-(exact decimal ties among them), and non-finite values take Python's
-``%`` instead; that fallback keeps every byte equal to ``%``.  On a
-platform whose longdouble has fewer than 63 fraction bits the band is
-infinite, so every nonzero value takes ``%`` (Adams, "Ryu revisited:
-printf floating point conversion", OOPSLA 2019, for the exact approach
-this approximates).
+Digits.  For a finite nonzero x with decimal exponent E, the digit string
+is y = |x| * 10^(16-E) in [10^16, 10^17), rounded to an integer.  Each
+10^(16-E) is stored as two doubles hi + lo, hi correctly rounded and lo
+the correctly rounded remainder (so hi + lo is within 2^-106 of it), both
+from exact integer arithmetic.  |x| * hi is formed exactly as p + e with
+Dekker's TwoProduct over Veltkamp splits (Dekker, Numer. Math. 18:224,
+1971); p >= 2^53 is an integer, and the small correction c = e + |x| * lo
+holds the rest of y to within AMBIGUITY_BAND, so floor(c) and c - floor(c)
+give the digits and the rounding direction.  Values past 10^280 or below
+10^-280 (subnormals among them) are scaled by 2^-+512 first, against a
+table entry scaled the other way, so that no split overflows and no
+partial product underflows.  Only values whose fraction lies within the
+band of 0.5 (exact decimal ties among them; no value of 10^6 normal
+deviates) and non-finite values take Python's ``%``; that fallback keeps
+every byte equal to ``%``.  Adams, "Ryu revisited: printf floating point
+conversion", OOPSLA 2019, takes the same exact-table approach in integer
+arithmetic.
+
+Rows.  A value is assembled with its separator as a fixed _WIDTH-byte
+field whose unused bytes are 0: the sign byte of a positive value and the
+last byte after a two-digit exponent.  When every column of a pass has a
+single sign and a single exponent width, every row has the same 0 bytes
+and each column's texts are one strided copy; any other pass drops the 0
+bytes one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
-
-_LONG = np.finfo(np.longdouble)
 
 #: Decimal exponents a nonzero finite double can have (5e-324 to 1.8e308),
 #: widened by one on each side for the first, possibly wrong, estimate.
 _E_LO, _E_HI = -325, 309
 
-#: |y - |x|*10^k| <= |x|*10^k * (eps + eps**2/4): y = fl(|x| * fl(10^k)) is
-#: rounded twice, by at most eps/2 relative each time.  With |x|*10^k below
-#: 10^17 the error is below the band; it is no tuning knob.
-AMBIGUITY_BAND = 1e17 * _LONG.eps * (1 + _LONG.eps) if _LONG.nmant >= 63 else np.inf
+#: Values with a decimal exponent beyond +-_E_SAFE are multiplied by
+#: 2^-+_SHIFT before the product, their table entries by 2^+-_SHIFT.
+_E_SAFE, _SHIFT = 280, 512
+
+#: Bits of each power of ten before its split into hi + lo: enough that
+#: rounding the remainder to 53 bits is still correct.
+_POWER_BITS = 121
+
+#: Veltkamp's splitter: x * _SPLITTER splits x into two 26-bit halves.
+_SPLITTER = 2.0**27 + 1.0
+
+#: |c - (y - p)| is at most 2^-49 (the error of hi + lo times |x|), plus
+#: 2^-50 (rounding |x| * lo, below 16) plus 2^-49 (rounding e + |x| * lo,
+#: below 32): below 2^-47 whenever y < 2^57.  It is no tuning knob.
+AMBIGUITY_BAND = 2.0**-47
 
 
-def _powers_of_ten(exponents: range) -> np.ndarray:
-    """10^k for each k, rounded to the nearest longdouble (ties to even) by
-    exact integer arithmetic: 10^k = q * 2^shift with q of exactly as many
-    bits as the significand, converted in 32-bit limbs (each exact)."""
-    bits = _LONG.nmant + 1
-    significands, shifts = [], []
-    for k in exponents:
-        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-        shift = num.bit_length() - den.bit_length() - bits
-        q, r = divmod(num << -shift, den) if shift < 0 else divmod(num, den << shift)
-        if q.bit_length() > bits:
-            shift += 1
-            q, r = divmod(num << -shift, den) if shift < 0 else divmod(num, den << shift)
-        divisor = den if shift < 0 else den << shift
-        if 2 * r > divisor or (2 * r == divisor and q & 1):
-            q += 1  # q = 2^bits is still exact
-        significands.append(q)
-        shifts.append(shift)
-    value = np.zeros(len(significands), dtype=np.longdouble)
-    for limb in range(bits // 32, -1, -1):
-        words = np.array([(q >> (32 * limb)) & 0xFFFFFFFF for q in significands], dtype=np.uint64)
-        value = value * 2**32 + words
-    return np.ldexp(value, np.array(shifts))
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of x into head + tail, each of at most 26 bits."""
+    c = x * _SPLITTER
+    head = c - (c - x)
+    return head, x - head
 
 
-#: _SCALE[E - _E_LO] is 10^(16 - E), correctly rounded.
-_SCALE = _powers_of_ten(range(16 - _E_LO, 16 - _E_HI - 1, -1))
+#: The power of two that multiplies a value of decimal exponent E first.
+_PRESCALE = np.array([2.0**_SHIFT if e < -_E_SAFE else 2.0**-_SHIFT if e > _E_SAFE else 1.0
+                      for e in range(_E_LO, _E_HI + 1)])
 
 
-#: The four ASCII digits of 0..9999, and the exponent fields "+05",
-#: "-324", ... (null-padded), each as one uint32 holding those bytes.
+def _power_table() -> np.ndarray:
+    """Rows hi, hi's head and tail, lo for E from _E_LO to _E_HI, where
+    hi + lo is 10^(16-E) / _PRESCALE[E - _E_LO].  Each power is truncated
+    to _POWER_BITS + 1 bits with its last bit set when anything was cut
+    (rounding to odd), so float() of it and of its remainder both round as
+    the exact value would: hi is correctly rounded, and so is lo."""
+    heads, tails, shifts = [], [], []
+    power = 10 ** (_E_HI - 16)
+    for k in range(16 - _E_HI, 16 - _E_LO + 1):
+        if k < 0:
+            s = _POWER_BITS + power.bit_length()
+            q, r = divmod(1 << s, power)
+            power //= 10
+        else:
+            s = _POWER_BITS - power.bit_length()
+            q, r = (power << s, 0) if s >= 0 else (power >> -s, power & ((1 << -s) - 1))
+            power *= 10
+        q = q << 1 | (r != 0)
+        head = float(q)
+        heads.append(head)
+        tails.append(float(q - int(head)))
+        shifts.append(-s - 1)
+    shift = np.array(shifts[::-1]) - np.log2(_PRESCALE).astype(int)
+    hi, lo = np.ldexp(heads[::-1], shift), np.ldexp(tails[::-1], shift)
+    return np.stack([hi, *_split(hi), lo], axis=1)
+
+
+#: Row E - _E_LO holds hi, the head and tail of hi's split, and lo, where
+#: hi + lo is 10^(16-E) / _PRESCALE[E - _E_LO] within 2^-106 relative;
+#: one row is gathered per value.
+_POWERS = _power_table()
+
+#: The four ASCII digits of 0..9999 as one uint32 each, and the tail of a
+#: field from E: two bytes that the digits overwrite, "e", the exponent
+#: ("+05", "-324", ...), the separator and zero padding, as one uint64.
 _DIGIT_CODES = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 _QUADS = np.stack(np.meshgrid(*[_DIGIT_CODES] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
-_EXPONENTS = np.frombuffer(
-    b"".join(f"{e:+03d}".encode().ljust(4, b"\0") for e in range(_E_LO, _E_HI + 1)), dtype=np.uint32
+_TAILS = np.frombuffer(
+    b"".join(f"..e{e:+03d},".encode().ljust(8, b"\0") for e in range(_E_LO, _E_HI + 1)), dtype=np.uint64
 )
 
-#: Block values rendered per pass: the temporaries of a pass take ~150
-#: bytes per value, so memory is bounded by this, not by the block.
-CHUNK_VALUES = 2**12
+#: Block values rendered per pass: a pass's buffers and temporaries take
+#: ~250 bytes per value (~2 MB), so memory is bounded by this, not by the
+#: block.
+CHUNK_VALUES = 2**13
 
 #: Bytes per value in the assembly buffer: sign, lead digit, ".", 16
-#: digits, "e", 4 exponent bytes and the separator; unused bytes are 0
-#: and are dropped at the end.
+#: digits, "e", the exponent, the separator and zero padding.  A finite
+#: value's text is one run of bytes: from byte 0 with a sign, else from
+#: byte 1, to byte 23 with a two-digit exponent, else to byte 24.
 _WIDTH = 25
 
 #: One value's _WIDTH bytes as a single element, so rows of fields are
 #: gathered and placed a whole field at a time.
 _FIELD = np.dtype((np.void, _WIDTH))
 
+#: A pass whose columns differ in layout copies each column on its own,
+#: which pays when a column has at least this many rows.
+_MIN_COLUMN_ROWS = 128
+
+
+@functools.cache
+def _void(size: int) -> np.dtype:
+    return np.dtype((np.void, size))
+
+
+def _bytes(buf: np.ndarray, start: int, size: int) -> np.ndarray:
+    """Bytes ``start`` to ``start + size`` of each row of the 2-D uint8
+    ``buf`` as one element, so that they are copied a row at a time."""
+    return buf[:, start : start + size].view(_void(size))[:, 0]
+
+
+def _copy_run(target: np.ndarray, source: np.ndarray, start: int, staging: np.ndarray) -> None:
+    """``target[:] = source[:, start:start + width]`` for a target of 16
+    to 32 bytes a row, as two overlapping 16-byte copies, each through the
+    contiguous ``staging`` (16-byte elements, at least one per row): numpy
+    copies 16-byte elements fast when one side is contiguous, and slowly
+    between two strided sides."""
+    width, staging = target.shape[1], staging[: target.shape[0]]
+    for offset in (0, width - 16):
+        staging[...] = _bytes(source, start + offset, 16)
+        _bytes(target, offset, 16)[...] = staging
+
+
+def _scaled(a: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(y) and y - floor(y), to within AMBIGUITY_BAND, of
+    y = a * 10^(16 - exponent) for positive finite ``a``."""
+    i = exponent - _E_LO
+    if exponent.min() < -_E_SAFE or exponent.max() > _E_SAFE:
+        a = a * _PRESCALE[i]
+    hi, hi_head, hi_tail, lo = np.take(_POWERS, i, axis=0).T
+    p = a * hi
+    # Dekker's exact error of p, from the split halves: e = a*hi - p.
+    head, tail = _split(a)
+    e = ((head * hi_head - p) + head * hi_tail + tail * hi_head) + tail * hi_tail
+    c = e + a * lo
+    whole = np.floor(c)
+    frac = c - whole
+    return p.astype(np.int64) + whole.astype(np.int64), frac
+
 
 def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Digit strings D in [10^16, 10^17), decimal exponents E and the
     ambiguity flags for positive finite ``a``: a ~ D * 10^(E-16)."""
     exponent = np.floor(np.log10(a)).astype(np.int64)
-    y = a.astype(np.longdouble) * _SCALE[exponent - _E_LO]
+    whole, frac = _scaled(a, exponent)
     # log10 can be one off next to a power of ten: fix E from the range of y.
-    off = (y >= 1e17).astype(np.int64) - (y < 1e16)
-    fix = np.flatnonzero(off)
-    if fix.size:
+    if whole.min() < 10**16 or whole.max() >= 10**17:
+        off = (whole >= 10**17).astype(np.int64) - (whole < 10**16)
+        fix = np.flatnonzero(off)
         exponent[fix] += off[fix]
-        y[fix] = a[fix].astype(np.longdouble) * _SCALE[exponent[fix] - _E_LO]
-    # With a 64-bit significand, y < 2^57 keeps at most 10 fraction bits,
-    # so frac is exact in float64.
-    whole = y.astype(np.uint64)
-    frac = (y - whole).astype(np.float64)
+        whole[fix], frac[fix] = _scaled(a[fix], exponent[fix])
     ambiguous = np.abs(frac - 0.5) <= AMBIGUITY_BAND
     digits = whole + (frac >= 0.5)
-    carry = digits >= 10**17
-    digits[carry] = 10**16
-    exponent += carry
+    near = np.flatnonzero(ambiguous)
+    if near.size:
+        # Where 10^(16-E) is a double (lo = 0), c and its fraction are exact:
+        # a fraction of exactly 0.5 is a decimal tie, rounded half to even.
+        exact = near[_POWERS[exponent[near] - _E_LO, 3] == 0.0]
+        ambiguous[exact] = False
+        digits[exact] -= (frac[exact] == 0.5) & (whole[exact] % 2 == 0)
+    if digits.max() >= 10**17:
+        carry = digits >= 10**17
+        digits[carry] = 10**16
+        exponent += carry
     return digits, exponent, ambiguous
 
 
-def _fields(x: np.ndarray) -> np.ndarray:
-    """One _FIELD per value of the 1-D ``x``: ``"%.16e" % v`` padded with
-    0 bytes, the last byte left unset for the separator."""
+def _fields(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """One _FIELD per value of the 1-D ``x``: ``"%.16e" % v`` and a ","
+    in the layout of _WIDTH, padded with 0 bytes; written into the uint8
+    ``buf`` of x.size rows by _WIDTH bytes when one is given."""
     a = np.abs(x)
-    regular = (a > 0.0) & (a < np.inf)
-    digits, exponent, ambiguous = _digits(np.where(regular, a, 1.0))
-    digits[~regular] = 0  # +-0.0 is "0.0000000000000000e+00" with its sign
-    exponent[~regular] = 0
+    every = x.size == 0 or (a.min() > 0.0 and a.max() < np.inf)
+    regular = None if every else (a > 0.0) & (a < np.inf)
+    digits, exponent, ambiguous = _digits(a if every else np.where(regular, a, 1.0))
+    if not every:
+        digits[~regular] = 0  # +-0.0 is "0.0000000000000000e+00" with its sign
+        exponent[~regular] = 0
 
-    buf = np.empty((x.size, _WIDTH), dtype=np.uint8)
-    buf[:, 0] = np.signbit(x) * ord("-")
-    lead, rest = np.divmod(digits, 10**16)
-    high, low = np.divmod(rest, 10**8)
+    buf = np.empty((x.size, _WIDTH), dtype=np.uint8) if buf is None else buf
+    _bytes(buf, 17, 8)[...] = np.take(_TAILS, exponent - _E_LO).view(_void(8))
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=buf[:, 0])
+    # One 64-bit division splits D into 9 + 8 digits; the rest is 32-bit.
+    high = digits // 10**8
+    low = (digits - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    lead = high // 10**8
+    high -= lead * 10**8
     buf[:, 1] = lead + ord("0")
     buf[:, 2] = ord(".")
-    quads = np.empty((x.size, 4), dtype=np.uint32)
-    np.divmod(high, 10**4, out=(quads[:, 0], quads[:, 1]))
-    np.divmod(low, 10**4, out=(quads[:, 2], quads[:, 3]))
-    buf[:, 3:19] = _QUADS[quads].view(np.uint8).reshape(-1, 16)
-    buf[:, 19] = ord("e")
-    buf[:, 20:24] = _EXPONENTS[exponent - _E_LO].view(np.uint8).reshape(-1, 4)
+    for start, half in ((3, high), (11, low)):
+        upper = (half // 10**4).astype(np.intp)
+        _bytes(buf, start, 4)[...] = np.take(_QUADS, upper).view(_void(4))
+        _bytes(buf, start + 4, 4)[...] = np.take(_QUADS, half - upper * 10**4).view(_void(4))
 
-    fallback = np.flatnonzero(~np.isfinite(x) | (regular & ambiguous))
+    fallback = np.flatnonzero(ambiguous if every else ambiguous | ~np.isfinite(x))
     if fallback.size:
-        texts = ["%.16e" % v for v in x[fallback].tolist()]
-        buf[fallback, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
+        # "% .16e" is "%.16e" with a space for the sign of a positive value,
+        # which becomes the 0 byte that the fields above have there.
+        texts = np.array(["% .16e," % v for v in x[fallback].tolist()], dtype=f"S{_WIDTH}").view(np.uint8)
+        texts[texts == ord(" ")] = 0
+        buf[fallback] = texts.reshape(-1, _WIDTH)
     return buf.view(_FIELD)[:, 0]
 
 
-def csv_rows(block: np.ndarray, axes: Sequence[np.ndarray] = (), first_row: int = 0) -> memoryview:
+def _fixed_layout(fields: np.ndarray) -> list[tuple[int, int]] | None:
+    """``(start, width)`` of the text in every field of each column when
+    all rows of the finite-valued ``fields`` (rows x columns) share it,
+    else None.  A finite field's text starts at byte 0 or 1 (sign) and
+    ends at byte 23 or 24 (exponent width)."""
+    b = fields.view(np.uint8).reshape(*fields.shape, _WIDTH)
+    unsigned, wide = b[0, :, 0] == 0, b[0, :, 24] != 0
+    if not (((b[:, :, 0] == 0) == unsigned).all() and ((b[:, :, 24] != 0) == wide).all()):
+        return None
+    return [(int(u), 24 + int(w) - int(u)) for u, w in zip(unsigned.tolist(), wide.tolist())]
+
+
+def _passes(block: np.ndarray, axes: Sequence[np.ndarray], first_row: int) -> Iterator[memoryview]:
+    """The text of csv_rows, one pass at a time, each in a buffer that the
+    next pass reuses."""
+    rows, k = block.shape
+    step = max(1, CHUNK_VALUES // k)
+    strides = [math.prod(a.size for a in axes[i + 1:]) for i in range(len(axes))]
+    tables = [_fields(a) if a.size <= step else None for a in axes]
+    finite_axes = all(np.isfinite(a).all() for a in axes)
+    cols = len(axes) + k
+    # The pass buffers are allocated once per call and reused.
+    most = min(step, rows)
+    block_fields = np.empty((most * k, _WIDTH), dtype=np.uint8)
+    row_fields = np.empty((most, cols), dtype=_FIELD) if axes else None
+    staging = np.empty(most * cols, dtype=_void(16))
+    text = np.empty(most * cols * _WIDTH, dtype=np.uint8)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        values = np.ascontiguousarray(block[start:stop], dtype=np.float64).ravel()
+        fields = _fields(values, block_fields[: values.size]).reshape(stop - start, k)
+        if axes:
+            row_fields[: stop - start, len(axes):] = fields
+            fields = row_fields[: stop - start]
+        cells = np.arange(first_row + start, first_row + stop)
+        for i, (axis, stride, table) in enumerate(zip(axes, strides, tables)):
+            index = cells // stride
+            if table is None:
+                lo = index[0]
+                table = _fields(axis[np.arange(lo, index[-1] + 1) % axis.size])
+                index -= lo
+            else:
+                index %= axis.size
+            fields[:, i] = table[index]
+        layout = _fixed_layout(fields) if finite_axes and np.isfinite(values).all() else None
+        shared = layout is not None and len(set(layout)) == 1
+        if shared or (layout is not None and fields.shape[0] >= _MIN_COLUMN_ROWS):
+            width = sum(size for _, size in layout)
+            target = text[: fields.shape[0] * width].reshape(-1, width)
+            source = fields.view(np.uint8).reshape(-1, _WIDTH)
+            if shared:
+                first, size = layout[0]
+                _copy_run(target.reshape(-1, size), source, first, staging)
+            else:
+                source = source.reshape(fields.shape[0], -1)
+                to = 0
+                for column, (first, size) in enumerate(layout):
+                    _copy_run(target[:, to : to + size], source, column * _WIDTH + first, staging)
+                    to += size
+            target[:, -1] = ord("\n")
+            yield target.ravel().data
+            continue
+        b = fields.view(np.uint8).reshape(*fields.shape, _WIDTH)
+        last = b[:, -1]
+        # The row's last separator: after a two- or three-digit exponent,
+        # or after "nan", "inf" or "-inf".
+        ends = np.where(last[:, 24] != 0, 24, np.where(last[:, 23] != 0, 23, 4))
+        last[np.arange(last.shape[0]), ends] = ord("\n")
+        flat = b.ravel()
+        yield flat[flat != 0].data
+
+
+def csv_rows(block: np.ndarray, axes: Sequence[np.ndarray] = (), first_row: int = 0) -> bytes:
     """The bytes of ``",".join("%.16e" % v for v in row) + "\\n"`` for
     every row of a table, concatenated.
 
@@ -159,35 +327,16 @@ def csv_rows(block: np.ndarray, axes: Sequence[np.ndarray] = (), first_row: int 
     one pass by pass, over the span of values the pass's rows touch.
     Either way its fields are gathered per row, never formatted per row.
 
-    The rows are rendered in passes of CHUNK_VALUES block values into one
-    buffer, so memory beyond the result is bounded by the pass.
+    The rows are rendered in passes of CHUNK_VALUES block values.  When
+    every column of a pass keeps one layout (one sign, one exponent
+    width), the texts are copied out a column at a time, or all at once
+    if the columns share it; any other pass drops the 0 bytes one by one.
     """
-    rows, k = block.shape
-    step = max(1, CHUNK_VALUES // k)
-    strides = [math.prod(a.size for a in axes[i + 1:]) for i in range(len(axes))]
-    tables = [_fields(a) if a.size <= step else None for a in axes]
-    cols = len(axes) + k
-    out = np.empty(rows * cols * _WIDTH, dtype=np.uint8)
-    end = 0
-    for start in range(0, rows, step):
-        stop = min(start + step, rows)
-        buf = np.empty((stop - start, cols), dtype=_FIELD)
-        values = np.ascontiguousarray(block[start:stop], dtype=np.float64).ravel()
-        buf[:, len(axes):] = _fields(values).reshape(stop - start, k)
-        cells = np.arange(first_row + start, first_row + stop)
-        for i, (axis, stride, table) in enumerate(zip(axes, strides, tables)):
-            index = cells // stride
-            if table is None:
-                lo = index[0]
-                table = _fields(axis[np.arange(lo, index[-1] + 1) % axis.size])
-                index -= lo
-            else:
-                index %= axis.size
-            buf[:, i] = table[index]
-        flat = buf.view(np.uint8).ravel()
-        flat[_WIDTH - 1 :: _WIDTH] = ord(",")
-        flat[cols * _WIDTH - 1 :: cols * _WIDTH] = ord("\n")
-        text = flat[flat != 0]
-        out[end : end + text.size] = text
-        end += text.size
-    return out[:end].data
+    return b"".join(bytes(text) for text in _passes(block, axes, first_row))
+
+
+def write_rows(fh: BinaryIO, block: np.ndarray, axes: Sequence[np.ndarray] = (), first_row: int = 0) -> None:
+    """Write csv_rows(block, axes, first_row) to the binary file ``fh``
+    pass by pass, so that memory beyond the block is bounded by a pass."""
+    for text in _passes(block, axes, first_row):
+        fh.write(text)

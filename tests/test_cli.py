@@ -228,12 +228,17 @@ class TestPhotonSpectrum:
         assert integral == pytest.approx(stefan, rel=1e-4)
 
     def test_planck_mean_energy_is_evaluated_once_per_point(self, capsys, monkeypatch):
+        # One expm1 per point for the mean energy; the Wien-peak search of
+        # the footer makes its own calls, counted apart.
         calls = []
-        bose = modestats._bose
-        monkeypatch.setattr(modestats, "_bose", lambda e, x: calls.append(x) or bose(e, x))
+        expm1 = math.expm1
+        monkeypatch.setattr(math, "expm1", lambda x: calls.append(x) or expm1(x))
+        modestats.wien_peak(300.0)
+        peak_calls = len(calls)
+        calls.clear()
         code, _, _ = run_cli(capsys, "photon-spectrum", "--temp", "300", "--points", "16")
         assert code == 0
-        assert len(calls) == 16
+        assert len(calls) == 16 + peak_calls
 
     def test_single_point_has_no_footer(self, capsys):
         code, out, _ = run_cli(capsys, "photon-spectrum", "--temp", "300", "--points", "1")
@@ -278,13 +283,15 @@ class TestCorrelation:
         assert err == "error: xi-max must be finite and > 0\n"
 
     def test_lags_past_the_square_range_print_no_warning(self, capsys):
-        # (xi/lambda_c)^2 overflows to inf, and exp(-inf) = 0 is the value.
+        # Such lags are far past pi/dk of the 4096-point spectrum, where the
+        # cosine transform aliases: one error line, no warning, no rows.
         code, out, err = run_cli(
             capsys, "correlation", "--mass", "1e-30", "--temp", "300", "--xi-max", "1e300", "--points", "4"
         )
-        assert code == 0
-        assert err == ""
-        assert [row[2] for row in parse_csv(out)[2]] == [1.0, 0.0, 0.0, 0.0]
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: lag ") and "pi/dk" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("mass, temp", [("1e-300", "1e-300"), ("1e300", "1e300")])
     def test_unrepresentable_correlation_length_exits_two(self, capsys, mass, temp):

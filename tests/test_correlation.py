@@ -18,7 +18,7 @@ from qvac import (
     gaussian_spectrum,
     mode_probability_nonrel,
 )
-from qvac.correlation import BLOCK_VALUES
+from qvac.correlation import BLOCK_VALUES, max_lag
 
 from helpers import assert_same_bits, traced_peak
 
@@ -188,6 +188,25 @@ class TestBlockedTransform:
         xi = np.linspace(0.0, 3.0 * lam_c, 20_000)
         peak = traced_peak(lambda: correlation_from_spectrum(spectrum, xi)).peak
         assert peak < 4 * 8 * BLOCK_VALUES + 2 * xi.nbytes, peak
+
+
+class TestAliasLimit:
+    """The trapezoid rule samples cos(k*xi) every dk, so lags past pi/dk
+    alias onto lags below it and are refused."""
+
+    def test_limit_is_pi_over_the_grid_step(self):
+        lam_c = 2.4e-9
+        limit = max_lag(gaussian_mode_spectrum(lam_c))
+        assert limit == pytest.approx(4095 * math.pi / 12.0 * lam_c, rel=1e-12)
+
+    def test_lag_at_the_limit_transforms_and_the_next_double_raises(self):
+        spectrum = gaussian_mode_spectrum(2.4e-9)
+        limit = max_lag(spectrum)
+        result = correlation_from_spectrum(spectrum, np.array([0.0, limit]))
+        assert result.g_values[0] == 1.0 and math.isfinite(result.g_values[1])
+        with pytest.raises(DomainError, match="pi/dk") as excinfo:
+            correlation_from_spectrum(spectrum, np.array([0.0, np.nextafter(limit, np.inf)]))
+        assert f"{limit:.6g}" in str(excinfo.value)
 
 
 class TestEFoldingLag:

@@ -25,6 +25,8 @@ from qvac import (
 from qvac import modestats
 from qvac.correlation import correlation_length
 
+from helpers import assert_same_bits
+
 HBAR = CONSTANTS.hbar
 C = CONSTANTS.c
 KB = CONSTANTS.k_boltzmann
@@ -399,6 +401,41 @@ MASSIVE_STATES = [
 #: log-spaced k from 1e-4 k_C up to within 1e-12 of the Compton wavenumber
 K_GRID = np.concatenate([np.geomspace(1e-4, 0.999, 2000), 1.0 - np.geomspace(1e-3, 1e-12, 40)]) * K_COMPTON_E
 OMEGA_X = np.geomspace(1e-8, 1e3, 4000)
+
+
+class TestBoseArrayPath:
+    """The array path of _bose (libm per element, numpy / and *) gives the
+    bits of the scalar path in every regime."""
+
+    CUT = modestats.EXP_CUTOFF
+    X = np.array([5e-324, 1e-300, 1e-17, 1e-8, 0.5, 1.0, 30.0, 699.0,
+                  np.nextafter(CUT, 0.0), CUT, np.nextafter(CUT, np.inf),
+                  708.0, 740.0, 745.0, 1e3, 1e5, 1e300])
+
+    @pytest.mark.parametrize("e_scale", [1.0, 1e-30, 1e300])
+    def test_matches_scalar_bits_across_the_regimes(self, e_scale):
+        # e / expm1(5e-324) overflows to inf at e = 1; exp(-x) goes subnormal
+        # past x ~ 708 and underflows to 0 past ~745.
+        e = e_scale * np.linspace(0.5, 2.0, self.X.size)
+        expected = np.array([modestats._bose(float(a), float(b)) for a, b in zip(e, self.X)])
+        assert_same_bits(modestats._bose(e, self.X), expected)
+        assert_same_bits(modestats._bose(e.reshape(1, -1), self.X.reshape(1, -1))[0], expected)
+        below = self.X <= self.CUT
+        assert_same_bits(modestats._bose(e[below], self.X[below]), expected[below])
+
+    def test_cutoff_neighbours_take_their_branches(self):
+        e = np.ones(3)
+        x = np.array([np.nextafter(self.CUT, 0.0), self.CUT, np.nextafter(self.CUT, np.inf)])
+        got = modestats._bose(e, x)
+        assert got.tolist() == [1.0 / math.expm1(x[0]), 1.0 / math.expm1(x[1]), math.exp(-x[2])]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_domain_error_is_the_scalar_one(self, bad):
+        with pytest.raises(DomainError) as scalar:
+            modestats._bose(1.0, bad)
+        with pytest.raises(DomainError) as array:
+            modestats._bose(np.ones(3), np.array([1.0, bad, 800.0]))
+        assert str(array.value) == str(scalar.value)
 
 
 class TestArrayEvaluation:

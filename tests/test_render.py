@@ -5,6 +5,7 @@
 that expression itself, value by value.
 """
 
+import io
 import math
 import sys
 from fractions import Fraction
@@ -13,9 +14,6 @@ import numpy as np
 import pytest
 
 from qvac import render
-
-WIDE_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63
-
 
 def percent_rows(block: np.ndarray) -> bytes:
     return "".join(",".join("%.16e" % v for v in row) + "\n" for row in block.tolist()).encode()
@@ -44,23 +42,25 @@ def exact(x) -> Fraction:
 
 class TestScaleTable:
     def test_powers_of_ten_are_correctly_rounded(self):
+        # hi is the double nearest 10^(16-E) (scaled by the pre-scale's
+        # inverse), and hi + lo is within 2^-106 of it.
         for e in range(render._E_LO, render._E_HI + 1):
-            value = render._SCALE[e - render._E_LO]
-            target = Fraction(10) ** (16 - e)
-            error = abs(exact(value) - target)
-            for neighbour in (np.nextafter(value, np.longdouble(0)), np.nextafter(value, np.longdouble(np.inf))):
-                assert error <= abs(exact(neighbour) - target), e
+            i = e - render._E_LO
+            hi, head, tail, lo = render._POWERS[i].tolist()
+            target = Fraction(10) ** (16 - e) / exact(float(render._PRESCALE[i]))
+            assert abs(exact(hi) - target) <= Fraction(math.ulp(hi)) / 2, e
+            assert abs(exact(hi) + exact(lo) - target) <= target * Fraction(2) ** -106, e
+            assert exact(head) + exact(tail) == exact(hi), e
 
-    @pytest.mark.skipif(not WIDE_LONGDOUBLE, reason="every value takes % without a 64-bit longdouble significand")
     def test_scaled_values_stay_within_the_band(self):
         x = np.abs(random_bit_patterns(4000, seed=11))
         x = x[(x > 0) & (x < np.inf)]
-        for value in x.tolist():
-            e = math.floor(math.log10(value))
-            if not 10**16 <= Fraction(value) * Fraction(10) ** (16 - e) < 10**17:
-                e += 1 if Fraction(value) * Fraction(10) ** (16 - e) >= 10**17 else -1
-            scaled = np.longdouble(value) * render._SCALE[e - render._E_LO]
-            assert abs(exact(scaled) - Fraction(value) * Fraction(10) ** (16 - e)) <= exact(render.AMBIGUITY_BAND)
+        digits, exponents, _ = render._digits(x)
+        whole, frac = render._scaled(x, exponents)
+        for value, w, f, e in zip(x.tolist(), whole.tolist(), frac.tolist(), exponents.tolist()):
+            y = Fraction(value) * Fraction(10) ** (16 - e)
+            if 10**16 <= y < 10**17:
+                assert abs(w + exact(f) - y) <= exact(render.AMBIGUITY_BAND)
 
 
 class TestPercentEquality:
@@ -68,11 +68,11 @@ class TestPercentEquality:
         # 3 columns: passes of CHUNK_VALUES // 3 whole rows, the last one short.
         assert_renders_like_percent(random_bit_patterns(3 * 166_667, seed=0), cols=3)
 
-    @pytest.mark.skipif(not WIDE_LONGDOUBLE, reason="every value takes % without a 64-bit longdouble significand")
     def test_few_values_take_the_fallback(self):
-        x = np.abs(random_bit_patterns(100_000, seed=1))
-        x = x[(x > 0) & (x < np.inf)]
-        assert render._digits(x)[2].mean() < 0.05
+        # Only the values flagged here (within AMBIGUITY_BAND of a decimal
+        # tie) take %, and no normal deviate comes that close.
+        x = np.random.default_rng(1).standard_normal(10**6)
+        assert not render._digits(np.abs(x))[2].any()
 
     def test_powers_of_ten_and_their_neighbours(self):
         powers = np.array([float(f"1e{j}") for j in range(-323, 309)])
@@ -132,3 +132,67 @@ class TestPercentEquality:
 
     def test_empty_block(self):
         assert bytes(render.csv_rows(np.empty((0, 3)))) == b""
+
+    def test_write_rows_writes_the_same_bytes_pass_by_pass(self):
+        block = random_bit_patterns(3 * 5000, seed=7).reshape(-1, 3)
+        fh = io.BytesIO()
+        render.write_rows(fh, block)
+        assert fh.getvalue() == percent_rows(block)
+
+
+class TestRowLayouts:
+    """A pass whose columns each keep one sign and one exponent width is
+    copied out a column (or a whole pass) at a time; any other pass drops
+    its 0 bytes.  Both must give the bytes of %."""
+
+    @staticmethod
+    def layouts(monkeypatch) -> list:
+        taken = []
+        fixed = render._fixed_layout
+        monkeypatch.setattr(render, "_fixed_layout", lambda fields: taken.append(fixed(fields)) or taken[-1])
+        return taken
+
+    @staticmethod
+    def positive_table(rows: int = 3000, cols: int = 6) -> np.ndarray:
+        rng = np.random.default_rng(6)
+        return rng.uniform(1.0, 10.0, (rows, cols)) * 10.0 ** rng.integers(-99, 100, (rows, cols))
+
+    def test_positive_two_digit_exponents_take_the_fixed_path(self, monkeypatch):
+        taken = self.layouts(monkeypatch)
+        assert_renders_like_percent(self.positive_table(), cols=6)
+        assert taken and all(layout == [(1, 23)] * 6 for layout in taken)
+
+    def test_a_negative_a_three_digit_exponent_and_a_nan_take_the_drop_path(self, monkeypatch):
+        for row, col, value in ((5, 0, -2.5), (7, 3, 1.5e-200), (9, 5, math.nan)):
+            table = self.positive_table(rows=100)
+            table[row, col] = value
+            taken = self.layouts(monkeypatch)
+            assert_renders_like_percent(table, cols=6)
+            assert taken in ([], [None])
+
+    def test_columns_of_different_layouts_are_copied_one_by_one(self, monkeypatch):
+        table = self.positive_table(cols=4)
+        table[:, 1] *= -1.0
+        table[:, 2] *= 1e-200
+        table[:, 3] = -table[:, 3] * 1e200
+        taken = self.layouts(monkeypatch)
+        assert_renders_like_percent(table, cols=4)
+        assert taken and all(layout == [(1, 23), (0, 24), (1, 24), (0, 25)] for layout in taken)
+
+    def test_passes_switch_path_midway(self, monkeypatch):
+        table = self.positive_table(rows=4 * (render.CHUNK_VALUES // 6) + 10)
+        table[render.CHUNK_VALUES // 6 + 3, 2] *= -1.0  # the second pass only
+        taken = self.layouts(monkeypatch)
+        assert_renders_like_percent(table, cols=6)
+        assert [layout is None for layout in taken] == [False, True, False, False, False]
+
+    def test_fallback_texts_keep_the_layout(self, monkeypatch):
+        # exact decimal ties at E = -7 take %, inside a fixed-layout pass
+        ties = [math.ldexp(m, -24) for m in (3, 5, 7, 9, 11, 13, 15)]
+        table = self.positive_table(rows=700, cols=1)
+        table[: len(ties), 0] = ties
+        assert render._digits(np.array(ties))[2].all()
+        taken = self.layouts(monkeypatch)
+        assert_renders_like_percent(table, cols=1)
+        assert taken and all(layout == [(1, 23)] for layout in taken)
+
