@@ -177,10 +177,11 @@ def correlation_from_spectrum(spectrum: ModeSpectrum, xi_grid) -> CorrelationFun
             "extend the k grid"
         )
     xi = np.asarray(xi_grid, dtype=float)
-    if xi.ndim != 1 or xi.size == 0 or np.any(xi < 0.0):
+    # Written so that a NaN lag fails the checks rather than passing them.
+    if xi.ndim != 1 or xi.size == 0 or not (xi >= 0.0).all():
         raise DomainError("xi_grid must be a 1-D array of non-negative lags")
     limit = max_lag(spectrum)
-    if float(xi.max()) > limit:
+    if not (xi <= limit).all():
         raise DomainError(
             f"lag {float(xi.max()):.6g} is past pi/dk = {limit:.6g} of the k grid, where the transform aliases"
         )

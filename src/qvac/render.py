@@ -1,12 +1,12 @@
 """Exact ``%.16e`` rendering of float64 blocks as CSV rows.
 
-``csv_rows(block)`` returns the bytes of
+``write_rows(fh, block)`` writes the bytes of
 ``",".join("%.16e" % v for v in row) + "\\n"`` for every row of a 2-D
 float64 block, with the 17 significant digits of each value generated by
 numpy array arithmetic instead of one Python ``%`` per value.  It is the
 renderer of every CSV table the CLI writes.  A table whose leading
 columns are the coordinates of a row-major grid takes them as the grid's
-1-D axes (``csv_rows(block, axes, first_row)``): each axis value is
+1-D axes (``write_rows(fh, block, axes, first_row)``): each axis value is
 rendered once per pass and copied to the rows that repeat it, so no
 grid-sized coordinate column is built or formatted.
 
@@ -30,10 +30,10 @@ arithmetic.
 
 Rows.  A value is assembled with its separator as a fixed _WIDTH-byte
 field whose unused bytes are 0: the sign byte of a positive value and the
-last byte after a two-digit exponent.  When every column of a pass has a
-single sign and a single exponent width, every row has the same 0 bytes
-and each column's texts are one strided copy; any other pass drops the 0
-bytes one by one.
+last byte after a two-digit exponent.  When every value of a pass has
+the same sign and the same exponent width, every field has the same 0
+bytes and the pass's texts are one strided copy; any other pass drops the
+0 bytes one by one.
 """
 
 from __future__ import annotations
@@ -133,10 +133,6 @@ _WIDTH = 25
 #: gathered and placed a whole field at a time.
 _FIELD = np.dtype((np.void, _WIDTH))
 
-#: A pass whose columns differ in layout copies each column on its own,
-#: which pays when a column has at least this many rows.
-_MIN_COLUMN_ROWS = 128
-
 
 @functools.cache
 def _void(size: int) -> np.dtype:
@@ -150,7 +146,7 @@ def _bytes(buf: np.ndarray, start: int, size: int) -> np.ndarray:
 
 
 def _copy_run(target: np.ndarray, source: np.ndarray, start: int, staging: np.ndarray) -> None:
-    """``target[:] = source[:, start:start + width]`` for a target of 16
+    """``target[...] = source[:, start:start + width]`` for a target of 16
     to 32 bytes a row, as two overlapping 16-byte copies, each through the
     contiguous ``staging`` (16-byte elements, at least one per row): numpy
     copies 16-byte elements fast when one side is contiguous, and slowly
@@ -209,8 +205,10 @@ def _fields(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     """One _FIELD per value of the 1-D ``x``: ``"%.16e" % v`` and a ","
     in the layout of _WIDTH, padded with 0 bytes; written into the uint8
     ``buf`` of x.size rows by _WIDTH bytes when one is given."""
+    if x.size == 0:
+        return np.empty(0, _FIELD)
     a = np.abs(x)
-    every = x.size == 0 or (a.min() > 0.0 and a.max() < np.inf)
+    every = a.min() > 0.0 and a.max() < np.inf
     regular = None if every else (a > 0.0) & (a < np.inf)
     digits, exponent, ambiguous = _digits(a if every else np.where(regular, a, 1.0))
     if not every:
@@ -243,21 +241,21 @@ def _fields(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     return buf.view(_FIELD)[:, 0]
 
 
-def _fixed_layout(fields: np.ndarray) -> list[tuple[int, int]] | None:
-    """``(start, width)`` of the text in every field of each column when
-    all rows of the finite-valued ``fields`` (rows x columns) share it,
-    else None.  A finite field's text starts at byte 0 or 1 (sign) and
-    ends at byte 23 or 24 (exponent width)."""
-    b = fields.view(np.uint8).reshape(*fields.shape, _WIDTH)
-    unsigned, wide = b[0, :, 0] == 0, b[0, :, 24] != 0
-    if not (((b[:, :, 0] == 0) == unsigned).all() and ((b[:, :, 24] != 0) == wide).all()):
+def _fixed_layout(fields: np.ndarray) -> tuple[int, int] | None:
+    """``(start, width)`` of the text in every one of the finite-valued
+    ``fields`` when they all share it, else None.  A finite field's text
+    starts at byte 0 or 1 (sign) and ends at byte 23 or 24 (exponent
+    width)."""
+    b = fields.view(np.uint8).reshape(-1, _WIDTH)
+    unsigned, wide = b[0, 0] == 0, b[0, 24] != 0
+    if not (((b[:, 0] == 0) == unsigned).all() and ((b[:, 24] != 0) == wide).all()):
         return None
-    return [(int(u), 24 + int(w) - int(u)) for u, w in zip(unsigned.tolist(), wide.tolist())]
+    return int(unsigned), 24 + int(wide) - int(unsigned)
 
 
 def _passes(block: np.ndarray, axes: Sequence[np.ndarray], first_row: int) -> Iterator[memoryview]:
-    """The text of csv_rows, one pass at a time, each in a buffer that the
-    next pass reuses."""
+    """The text of write_rows, one pass at a time, each in a buffer that
+    the next pass reuses."""
     rows, k = block.shape
     step = max(1, CHUNK_VALUES // k)
     strides = [math.prod(a.size for a in axes[i + 1:]) for i in range(len(axes))]
@@ -288,20 +286,11 @@ def _passes(block: np.ndarray, axes: Sequence[np.ndarray], first_row: int) -> It
                 index %= axis.size
             fields[:, i] = table[index]
         layout = _fixed_layout(fields) if finite_axes and np.isfinite(values).all() else None
-        shared = layout is not None and len(set(layout)) == 1
-        if shared or (layout is not None and fields.shape[0] >= _MIN_COLUMN_ROWS):
-            width = sum(size for _, size in layout)
-            target = text[: fields.shape[0] * width].reshape(-1, width)
-            source = fields.view(np.uint8).reshape(-1, _WIDTH)
-            if shared:
-                first, size = layout[0]
-                _copy_run(target.reshape(-1, size), source, first, staging)
-            else:
-                source = source.reshape(fields.shape[0], -1)
-                to = 0
-                for column, (first, size) in enumerate(layout):
-                    _copy_run(target[:, to : to + size], source, column * _WIDTH + first, staging)
-                    to += size
+        if layout is not None:
+            first, size = layout
+            target = text[: fields.size * size].reshape(-1, size)
+            _copy_run(target, fields.view(np.uint8).reshape(-1, _WIDTH), first, staging)
+            target = target.reshape(fields.shape[0], -1)
             target[:, -1] = ord("\n")
             yield target.ravel().data
             continue
@@ -315,9 +304,9 @@ def _passes(block: np.ndarray, axes: Sequence[np.ndarray], first_row: int) -> It
         yield flat[flat != 0].data
 
 
-def csv_rows(block: np.ndarray, axes: Sequence[np.ndarray] = (), first_row: int = 0) -> bytes:
-    """The bytes of ``",".join("%.16e" % v for v in row) + "\\n"`` for
-    every row of a table, concatenated.
+def write_rows(fh: BinaryIO, block: np.ndarray, axes: Sequence[np.ndarray] = (), first_row: int = 0) -> None:
+    """Write ``",".join("%.16e" % v for v in row) + "\\n"`` for every row
+    of a table to the binary file ``fh``.
 
     Without ``axes`` the rows are those of the 2-D float64 ``block``.
     With them, the table's leading columns are the coordinates of the
@@ -327,16 +316,11 @@ def csv_rows(block: np.ndarray, axes: Sequence[np.ndarray] = (), first_row: int 
     one pass by pass, over the span of values the pass's rows touch.
     Either way its fields are gathered per row, never formatted per row.
 
-    The rows are rendered in passes of CHUNK_VALUES block values.  When
-    every column of a pass keeps one layout (one sign, one exponent
-    width), the texts are copied out a column at a time, or all at once
-    if the columns share it; any other pass drops the 0 bytes one by one.
+    The rows are rendered and written in passes of CHUNK_VALUES block
+    values, so memory beyond the block is bounded by a pass.  When every
+    value of a pass keeps one layout (one sign, one exponent width), the
+    texts are copied out at a fixed width; any other pass drops the 0
+    bytes one by one.
     """
-    return b"".join(bytes(text) for text in _passes(block, axes, first_row))
-
-
-def write_rows(fh: BinaryIO, block: np.ndarray, axes: Sequence[np.ndarray] = (), first_row: int = 0) -> None:
-    """Write csv_rows(block, axes, first_row) to the binary file ``fh``
-    pass by pass, so that memory beyond the block is bounded by a pass."""
     for text in _passes(block, axes, first_row):
         fh.write(text)

@@ -1,4 +1,4 @@
-"""Byte equality of ``render.csv_rows`` with ``"%.16e" %`` on large sets.
+"""Byte equality of ``render.write_rows`` with ``"%.16e" %`` on large sets.
 
 Run by hand from the repository root (pytest does not collect it):
 
@@ -17,6 +17,7 @@ exits 1 on the first difference.
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 import time
@@ -29,11 +30,13 @@ BATCH = 200_000
 
 
 def percent(values: np.ndarray) -> bytes:
-    return ("\n".join("%.16e" % v for v in values.tolist()) + "\n").encode()
+    return "".join("%.16e\n" % v for v in values.tolist()).encode()
 
 
 def compare(name: str, batch: np.ndarray) -> None:
-    got = bytes(render.csv_rows(batch.reshape(-1, 1)))
+    fh = io.BytesIO()
+    render.write_rows(fh, batch.reshape(-1, 1))
+    got = fh.getvalue()
     if got != percent(batch):
         for v, g in zip(batch.tolist(), got.split(b"\n")):
             if g.decode() != "%.16e" % v:

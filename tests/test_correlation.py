@@ -208,6 +208,12 @@ class TestAliasLimit:
             correlation_from_spectrum(spectrum, np.array([0.0, np.nextafter(limit, np.inf)]))
         assert f"{limit:.6g}" in str(excinfo.value)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf])
+    def test_nan_and_infinite_lags_raise(self, bad):
+        spectrum = gaussian_mode_spectrum(2.4e-9)
+        with pytest.raises(DomainError):
+            correlation_from_spectrum(spectrum, np.array([0.0, bad, 1e-9]))
+
 
 class TestEFoldingLag:
     def test_no_crossing_gives_nan(self):

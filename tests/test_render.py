@@ -1,6 +1,6 @@
 """Byte equality of the array renderer with Python's ``"%.16e" % x``.
 
-``render.csv_rows`` must give, for every row of a block,
+``render.write_rows`` must write, for every row of a block,
 ``",".join("%.16e" % v for v in row) + "\\n"``.  The reference here is
 that expression itself, value by value.
 """
@@ -15,16 +15,23 @@ import pytest
 
 from qvac import render
 
+
+def rendered(block: np.ndarray) -> bytes:
+    fh = io.BytesIO()
+    render.write_rows(fh, block)
+    return fh.getvalue()
+
+
 def percent_rows(block: np.ndarray) -> bytes:
     return "".join(",".join("%.16e" % v for v in row) + "\n" for row in block.tolist()).encode()
 
 
 def assert_renders_like_percent(values, cols=1):
     block = np.asarray(values, dtype=np.float64).reshape(-1, cols)
-    got = bytes(render.csv_rows(block))
+    got = rendered(block)
     expected = percent_rows(block)
     if got != expected:
-        one_per_line = bytes(render.csv_rows(block.reshape(-1, 1))).split(b"\n")
+        one_per_line = rendered(block.reshape(-1, 1)).split(b"\n")
         wrong = [(v, g, e) for v, g, e in zip(block.ravel().tolist(), one_per_line,
                                                percent_rows(block.reshape(-1, 1)).split(b"\n")) if g != e]
         pytest.fail(f"{len(wrong)} of {block.size} values differ from %.16e, first: {wrong[:5]}")
@@ -55,12 +62,25 @@ class TestScaleTable:
     def test_scaled_values_stay_within_the_band(self):
         x = np.abs(random_bit_patterns(4000, seed=11))
         x = x[(x > 0) & (x < np.inf)]
-        digits, exponents, _ = render._digits(x)
-        whole, frac = render._scaled(x, exponents)
-        for value, w, f, e in zip(x.tolist(), whole.tolist(), frac.tolist(), exponents.tolist()):
+        exponents = []
+        for value in x.tolist():
+            e = math.floor(math.log10(value))
+            while Fraction(value) < Fraction(10) ** e:
+                e -= 1
+            while Fraction(value) >= Fraction(10) ** (e + 1):
+                e += 1
+            exponents.append(e)
+        whole, frac = render._scaled(x, np.array(exponents))
+        for value, w, f, e in zip(x.tolist(), whole.tolist(), frac.tolist(), exponents):
             y = Fraction(value) * Fraction(10) ** (16 - e)
-            if 10**16 <= y < 10**17:
-                assert abs(w + exact(f) - y) <= exact(render.AMBIGUITY_BAND)
+            assert 10**16 <= y < 10**17
+            assert abs(w + exact(f) - y) <= exact(render.AMBIGUITY_BAND)
+        # _digits finds the same exponents, one up only where rounding
+        # carries the digits to 10^16.
+        digits, found, _ = render._digits(x)
+        carried = found == np.array(exponents) + 1
+        assert ((found == exponents) | carried).all()
+        assert (digits[carried] == 10**16).all()
 
 
 class TestPercentEquality:
@@ -131,19 +151,14 @@ class TestPercentEquality:
         assert_renders_like_percent(random_bit_patterns(3000, seed=5), cols=3)
 
     def test_empty_block(self):
-        assert bytes(render.csv_rows(np.empty((0, 3)))) == b""
-
-    def test_write_rows_writes_the_same_bytes_pass_by_pass(self):
-        block = random_bit_patterns(3 * 5000, seed=7).reshape(-1, 3)
-        fh = io.BytesIO()
-        render.write_rows(fh, block)
-        assert fh.getvalue() == percent_rows(block)
+        assert rendered(np.empty((0, 3))) == b""
+        assert render._fields(np.empty(0)).size == 0
 
 
 class TestRowLayouts:
-    """A pass whose columns each keep one sign and one exponent width is
-    copied out a column (or a whole pass) at a time; any other pass drops
-    its 0 bytes.  Both must give the bytes of %."""
+    """A pass whose values all keep one sign and one exponent width is
+    copied out at a fixed width; any other pass drops its 0 bytes.  Both
+    must give the bytes of %."""
 
     @staticmethod
     def layouts(monkeypatch) -> list:
@@ -160,7 +175,7 @@ class TestRowLayouts:
     def test_positive_two_digit_exponents_take_the_fixed_path(self, monkeypatch):
         taken = self.layouts(monkeypatch)
         assert_renders_like_percent(self.positive_table(), cols=6)
-        assert taken and all(layout == [(1, 23)] * 6 for layout in taken)
+        assert taken and all(layout == (1, 23) for layout in taken)
 
     def test_a_negative_a_three_digit_exponent_and_a_nan_take_the_drop_path(self, monkeypatch):
         for row, col, value in ((5, 0, -2.5), (7, 3, 1.5e-200), (9, 5, math.nan)):
@@ -170,14 +185,21 @@ class TestRowLayouts:
             assert_renders_like_percent(table, cols=6)
             assert taken in ([], [None])
 
-    def test_columns_of_different_layouts_are_copied_one_by_one(self, monkeypatch):
+    def test_columns_of_different_layouts_take_the_drop_path(self, monkeypatch):
         table = self.positive_table(cols=4)
         table[:, 1] *= -1.0
         table[:, 2] *= 1e-200
         table[:, 3] = -table[:, 3] * 1e200
         taken = self.layouts(monkeypatch)
         assert_renders_like_percent(table, cols=4)
-        assert taken and all(layout == [(1, 23), (0, 24), (1, 24), (0, 25)] for layout in taken)
+        assert taken and all(layout is None for layout in taken)
+
+    @pytest.mark.parametrize("sign, scale, layout", [(1.0, 1.0, (1, 23)), (-1.0, 1.0, (0, 24)),
+                                                      (1.0, 1e-200, (1, 24)), (-1.0, 1e200, (0, 25))])
+    def test_every_fixed_layout(self, monkeypatch, sign, scale, layout):
+        taken = self.layouts(monkeypatch)
+        assert_renders_like_percent(sign * scale * self.positive_table(rows=200, cols=3), cols=3)
+        assert taken and all(t == layout for t in taken)
 
     def test_passes_switch_path_midway(self, monkeypatch):
         table = self.positive_table(rows=4 * (render.CHUNK_VALUES // 6) + 10)
@@ -194,5 +216,5 @@ class TestRowLayouts:
         assert render._digits(np.array(ties))[2].all()
         taken = self.layouts(monkeypatch)
         assert_renders_like_percent(table, cols=1)
-        assert taken and all(layout == [(1, 23)] for layout in taken)
+        assert taken and all(layout == (1, 23) for layout in taken)
 
