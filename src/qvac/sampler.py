@@ -23,15 +23,23 @@ intermediate (normals, mode coefficients, spectra, moment temporaries)
 is written into one workspace allocated per call; only the field blocks
 handed to callers are fresh arrays, so a caller may keep them.
 
-Where the process may run on two or more CPUs, each block's rows are split
-into two contiguous ranges: the caller works through the first while one
-helper thread works through the second (numpy releases the interpreter
-lock in the Philox draws, the coefficient products and the transforms).
-The split changes no bits: every row is keyed by its own realization
-index and transformed on its own, each range writes only its own rows of
-the workspace, and every merge across rows (the periodogram sum, the
-centered moments) runs on the caller, in index order, after the helper is
-joined.
+Where the process may run on two or more CPUs, a call starts one helper
+thread and splits each block's work over it and the caller, in three
+steps (numpy releases the interpreter lock in all of that work):
+
+1. the rows, as two contiguous ranges: each range draws its normals,
+   forms the mode coefficients, inverse transforms and checks its rows,
+   then takes their ``|rfft|^2`` while they are still in cache;
+2. the sum of each half of the block's samples, for the block mean;
+3. the centered power sums of each half.
+
+The split changes no bits.  Every row is keyed by its own realization
+index and transformed on its own, and each range writes only its own rows
+of the workspace.  The halves of steps 2 and 3 are the two halves numpy's
+pairwise sum splits an array into, so their two sums add up to numpy's
+sum of the whole block.  The periodogram sum and the merge of the
+moments across blocks (Chan et al., Pebay) run on the caller, in index
+order.
 
 The gaussianity thresholds count effective samples: field samples are
 correlated over about lambda_c / spacing neighbours, and the correlation
@@ -174,6 +182,10 @@ def load_config(path: str) -> SamplerConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
     lambda_c = _config_float(path, raw, "lambda_c")
+    if "extent" not in raw and not math.isfinite(40.0 * lambda_c):
+        raise ConfigError(
+            f"{path}: lambda_c = {lambda_c!r} is too large: the default extent 40*lambda_c leaves the double range"
+        )
     return SamplerConfig(
         grid_points=_config_int(path, raw, "grid_points", 1024),
         extent=_config_float(path, raw, "extent", 40.0 * lambda_c),
@@ -211,7 +223,8 @@ class _Workspace:
     ``grid_points`` samples, allocated once per call for the largest block
     and overwritten by every block: the standard normals, the complex
     modes (the synthesis coefficients, then the block's rfft) and the
-    ``|rfft|^2`` rows."""
+    ``|rfft|^2`` rows, block row r in ``power[1 + r]`` below a leading row
+    for the running periodogram sum."""
 
     def __init__(self, grid_points: int, realizations: int):
         rows = min(block_rows(grid_points), realizations)
@@ -219,7 +232,7 @@ class _Workspace:
         self.grid_points = grid_points
         self.normals = np.empty((rows, 2, modes))
         self.modes = np.empty((rows, modes), dtype=complex)
-        self.power = np.empty((rows, modes))
+        self.power = np.empty((rows + 1, modes))
         self.finite = np.empty((rows, grid_points), dtype=bool)
 
     def moment_scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +266,7 @@ def _mode_coefficients(z: np.ndarray, part_weights: np.ndarray, out: np.ndarray)
 
 
 def _row_workers() -> int:
-    """Threads a block's rows are split over: two where the process may
+    """Threads each block's work is split over: two where the process may
     run on two or more CPUs, else one."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
@@ -262,33 +275,111 @@ def _row_workers() -> int:
     return min(2, cpus)
 
 
-def _over_rows(rows: int, fn: Callable[[int, int], object]) -> None:
-    """Run ``fn(lo, hi)`` over the rows 0 .. rows - 1 of a block as two
-    contiguous ranges: the caller takes the first and one helper thread
-    the second, joined before this returns.  An exception raised in the
-    helper's range is raised here, on the caller; one raised in the
-    caller's range takes precedence.  With one worker, or a single row,
-    the caller runs the whole block and no thread is started."""
-    mid = (rows + 1) // 2
-    if mid == rows or _row_workers() < 2:
-        fn(0, rows)
-        return
-    errors: list[BaseException] = []
+class _RowSplit:
+    """The parallel steps of one call.  Each step runs as two parts: the
+    caller takes the first and one helper thread, started at the first
+    step and kept for the whole call, the second.  The step returns once
+    both are done.  An exception raised in the helper's part is raised on
+    the caller; one raised in the caller's part takes precedence.  With
+    one worker (``_row_workers()``, read once per call) both parts run on
+    the caller, in order, and no thread is started.
 
-    def helper() -> None:
+    Use it as a context manager: leaving the ``with`` block joins the
+    helper.  One call's steps run one at a time, from the thread that
+    entered the block."""
+
+    def __init__(self):
+        self.parallel = _row_workers() == 2
+        self.thread: threading.Thread | None = None
+        self.task: Callable[[], object] | None = None
+        self.result: object = None
+        self.error: BaseException | None = None
+        # Two locks used as signals: ``posted`` is released when a task (or
+        # the stop signal, task None) waits for the helper, ``finished`` when
+        # the helper's part is done.  Either may be released by the thread
+        # that did not acquire it.
+        self.posted = threading.Lock()
+        self.finished = threading.Lock()
+
+    def __enter__(self) -> _RowSplit:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self.thread is not None:
+            self.task = None
+            self.posted.release()
+            self.thread.join()
+
+    def _serve(self) -> None:
+        while True:
+            self.posted.acquire()
+            task = self.task
+            if task is None:
+                return
+            try:
+                self.result = task()
+            except BaseException as exc:  # re-raised on the caller by pair()
+                self.error = exc
+            self.finished.release()
+
+    def pair(self, fn: Callable[..., object], first: tuple, second: tuple) -> tuple[object, object]:
+        """``(fn(*first), fn(*second))``, the second on the helper."""
+        if not self.parallel:
+            return fn(*first), fn(*second)
+        if self.thread is None:
+            self.posted.acquire()
+            self.finished.acquire()
+            thread = threading.Thread(target=self._serve, name="qvac-rows")
+            thread.start()
+            self.thread = thread
+        self.task = lambda: fn(*second)
+        self.posted.release()
         try:
-            fn(mid, rows)
-        except BaseException as exc:  # re-raised on the caller below
-            errors.append(exc)
+            result = fn(*first)
+        finally:
+            self.finished.acquire()
+            error, self.error = self.error, None
+        if error is not None:
+            raise error
+        return result, self.result
 
-    thread = threading.Thread(target=helper, name="qvac-rows")
-    thread.start()
-    try:
-        fn(0, mid)
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+    def over_rows(self, rows: int, fn: Callable[[int, int], object]) -> None:
+        """``fn(lo, hi)`` over the rows 0 .. rows - 1 of a block as two
+        contiguous ranges, the first ``(rows + 1) // 2`` rows on the
+        caller; with one worker, or a single row, the caller runs all rows
+        as one range."""
+        mid = (rows + 1) // 2
+        if mid == rows or not self.parallel:
+            fn(0, rows)
+        else:
+            self.pair(fn, (0, mid), (mid, rows))
+
+
+#: numpy sums a contiguous float64 array of more than this many values
+#: pairwise, as the sums of its two halves split at ``_pairwise_half``.
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise sum of n > _PAIRWISE_BLOCK values splits
+    them: ``np.add.reduce(x)`` is ``np.add.reduce(x[:h]) +
+    np.add.reduce(x[h:])`` bit for bit."""
+    return n // 2 - (n // 2) % 8
+
+
+def _sum(x: np.ndarray) -> float:
+    return float(np.add.reduce(x))
+
+
+def _centered_sums(x: np.ndarray, mean: float, c: np.ndarray, c2: np.ndarray) -> tuple[float, float, float]:
+    """Sums of (x - mean)^2, ^3 and ^4, with ``c`` and ``c2`` (the size
+    of ``x``) as scratch."""
+    np.subtract(x, mean, out=c)
+    np.multiply(c, c, out=c2)
+    m2 = _sum(c2)
+    m3 = _sum(np.multiply(c2, c, out=c))
+    m4 = _sum(np.multiply(c2, c2, out=c))
+    return m2, m3, m4
 
 
 class _RowNormals:
@@ -311,10 +402,17 @@ class _RowNormals:
             self.rng.standard_normal(out=z[row])
 
 
-def _field_blocks(config: SamplerConfig, work: _Workspace) -> Iterator[np.ndarray]:
+def _field_blocks(
+    config: SamplerConfig,
+    work: _Workspace,
+    split: _RowSplit,
+    then: Callable[[np.ndarray, int, int], object] | None = None,
+) -> Iterator[np.ndarray]:
     """Realizations 0 .. config.realizations - 1 in consecutive blocks of
     ``block_rows(config.grid_points)`` rows (the last may be shorter),
-    built in ``work``.  Each block is a fresh array."""
+    built in ``work`` with each block's rows split by ``split``.  Each
+    block is a fresh array.  ``then(block, lo, hi)`` runs on each range of
+    rows as soon as they are synthesized, in the same step."""
     n = config.grid_points
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=config.spacing)
     weights = gaussian_spectrum(k, config.lambda_c)
@@ -339,8 +437,10 @@ def _field_blocks(config: SamplerConfig, work: _Workspace) -> Iterator[np.ndarra
             part *= amplitude
             if not np.isfinite(part, out=work.finite[lo:hi]).all():
                 raise ConfigError("field values must be finite")
+            if then is not None:
+                then(block, lo, hi)
 
-        _over_rows(block.shape[0], synthesize)
+        split.over_rows(block.shape[0], synthesize)
         yield block
 
 
@@ -352,9 +452,10 @@ def sample_field(config: SamplerConfig) -> NoiseField:
     values = np.empty((config.realizations, config.grid_points))
     start = 0
     work = _Workspace(config.grid_points, config.realizations)
-    for block in _field_blocks(config, work):
-        values[start : start + len(block)] = block
-        start += len(block)
+    with _RowSplit() as split:
+        for block in _field_blocks(config, work, split):
+            values[start : start + len(block)] = block
+            start += len(block)
     return NoiseField(values=values, extent=config.extent, lambda_c=config.lambda_c, seed=config.seed)
 
 
@@ -374,30 +475,36 @@ class _Accumulator:
         self.mean = 0.0
         self.m2 = self.m3 = self.m4 = 0.0
 
-    def add(self, block: np.ndarray) -> None:
+    def spectra(self, block: np.ndarray, lo: int, hi: int) -> None:
+        """``|rfft|^2`` of the block's rows lo .. hi - 1 into the workspace;
+        every row of a block must have its spectrum before ``add``."""
+        work = self.work
+        spectrum = np.fft.rfft(block[lo:hi], axis=1, out=work.modes[lo:hi])
+        powers = np.abs(spectrum, out=work.power[1 + lo : 1 + hi])
+        np.square(powers, out=powers)
+
+    def add(self, block: np.ndarray, split: _RowSplit) -> None:
         rows = block.shape[0]
         work = self.work
-
-        def spectra(lo: int, hi: int) -> None:
-            spectrum = np.fft.rfft(block[lo:hi], axis=1, out=work.modes[lo:hi])
-            powers = np.abs(spectrum, out=work.power[lo:hi])
-            np.square(powers, out=powers)
-
-        _over_rows(rows, spectra)
-        for power in work.power[:rows]:
-            self.power_sum += power
+        # The running sum above the block's rows: an axis-0 reduce adds them
+        # to each column in index order, the additions of a row-by-row loop.
+        power = work.power[: rows + 1]
+        power[0] = self.power_sum
+        np.add.reduce(power, axis=0, out=self.power_sum)
         self.rows += rows
         x = block.ravel()
         nb = x.size
-        mean_b = float(x.mean())
         c, c2 = work.moment_scratch(nb)
-        np.subtract(x, mean_b, out=c)
-        np.multiply(c, c, out=c2)
-        m2_b = float(c2.sum())
-        c3 = np.multiply(c2, c, out=c)
-        m3_b = float(c3.sum())
-        c4 = np.multiply(c2, c2, out=c)
-        m4_b = float(c4.sum())
+        if nb > _PAIRWISE_BLOCK:
+            # numpy's own pairwise split, one half per worker.
+            h = _pairwise_half(nb)
+            sums = split.pair(_sum, (x[:h],), (x[h:],))
+            mean_b = (sums[0] + sums[1]) / nb
+            left, right = split.pair(_centered_sums, (x[:h], mean_b, c[:h], c2[:h]), (x[h:], mean_b, c[h:], c2[h:]))
+            m2_b, m3_b, m4_b = (a + b for a, b in zip(left, right))
+        else:
+            mean_b = float(x.mean())
+            m2_b, m3_b, m4_b = _centered_sums(x, mean_b, c, c2)
         na = self.count
         n = na + nb
         delta = mean_b - self.mean
@@ -423,8 +530,11 @@ def _accumulate(field: NoiseField) -> _Accumulator:
     m, n = field.values.shape
     acc = _Accumulator(_Workspace(n, m))
     rows = block_rows(n)
-    for start in range(0, m, rows):
-        acc.add(field.values[start : start + rows])
+    with _RowSplit() as split:
+        for start in range(0, m, rows):
+            block = field.values[start : start + rows]
+            split.over_rows(block.shape[0], lambda lo, hi: acc.spectra(block, lo, hi))
+            acc.add(block, split)
     return acc
 
 
@@ -594,10 +704,11 @@ def sample_report(config: SamplerConfig, on_block: Callable[[np.ndarray], object
     next is drawn, so memory stays bounded by one block."""
     work = _Workspace(config.grid_points, config.realizations)
     acc = _Accumulator(work)
-    for block in _field_blocks(config, work):
-        if on_block is not None:
-            on_block(block)
-        acc.add(block)
+    with _RowSplit() as split:
+        for block in _field_blocks(config, work, split, then=acc.spectra):
+            if on_block is not None:
+                on_block(block)
+            acc.add(block, split)
     return _report(config, acc)
 
 

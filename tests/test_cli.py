@@ -374,6 +374,16 @@ class TestSample:
         assert out == ""
         assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
 
+    def test_default_extent_past_the_double_range_names_lambda_c(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"lambda_c": 1e308}))  # 40 * lambda_c is inf
+        code, out, err = run_cli(capsys, "sample", str(path), "--no-field", "--report-out", str(tmp_path / "r.json"))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {path}: lambda_c = 1e+308 is too large: the default extent 40*lambda_c leaves the double range\n"
+        )
+
     def test_unrepresentable_grid_spacing_exits_two(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"lambda_c": 1e-310}))  # extent/grid_points is subnormal

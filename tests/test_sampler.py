@@ -22,7 +22,7 @@ from qvac import (
     sample_report,
 )
 from qvac import sampler
-from qvac.sampler import BLOCK_SAMPLES, _field_blocks, _over_rows, _Workspace, block_rows
+from qvac.sampler import BLOCK_SAMPLES, _field_blocks, _RowSplit, _Workspace, block_rows
 
 from helpers import assert_same_bits, traced_peak
 
@@ -264,6 +264,18 @@ def reference_field(cfg: SamplerConfig) -> np.ndarray:
     return np.array(rows)
 
 
+def field_blocks(cfg: SamplerConfig) -> list[np.ndarray]:
+    """Every pipeline block of ``cfg``'s realizations, as one call makes them."""
+    with _RowSplit() as split:
+        return list(_field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations), split))
+
+
+def heavy_tailed(rng: np.random.Generator, shape) -> np.ndarray:
+    """Student-t(2) deviates scaled by powers of two over six decades: the
+    bits of their sums depend on the order of the additions."""
+    return rng.standard_t(2, size=shape) * 2.0 ** rng.integers(0, 20, size=shape)
+
+
 def longdouble_moments(values: np.ndarray) -> tuple[float, float]:
     """Two-pass skewness and excess kurtosis in extended precision."""
     x = values.ravel().astype(np.longdouble)
@@ -354,7 +366,7 @@ class TestWorkspace:
         assert np.count_nonzero(np.sqrt(gaussian_spectrum(k, LC)) == 0.0) == zero_modes
         reference = reference_field(cfg)
         rows = block_rows(cfg.grid_points)
-        blocks = list(_field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations)))
+        blocks = field_blocks(cfg)
         assert [len(b) for b in blocks] == [rows, cfg.realizations - rows]
         for start, block in zip(range(0, cfg.realizations, rows), blocks):
             assert block.tobytes() == reference[start : start + len(block)].tobytes()
@@ -363,7 +375,7 @@ class TestWorkspace:
         # Kept without a copy: a buffer reused across blocks would hold the
         # last block's rows in the first block's place.
         cfg = make_config(**MULTI_BLOCK)
-        blocks = list(_field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations)))
+        blocks = field_blocks(cfg)
         assert_same_bits(np.concatenate(blocks), reference_field(cfg))
 
     def test_streamed_report_peak_is_bounded_by_the_workspace(self):
@@ -378,6 +390,9 @@ class TestWorkspace:
 #: One row past a block: the last block has one row, which the caller
 #: runs alone.
 ONE_ROW_TAIL = dict(grid_points=256, extent=2.4e-08, seed=5, realizations=block_rows(256) + 1)
+
+#: The README block shape: 1024 points, one full 256-row block and a short one.
+README_BLOCKS = dict(grid_points=1024, extent=4.0e-08, seed=6, realizations=block_rows(1024) + 3)
 
 
 def split_runs(monkeypatch, fn):
@@ -395,22 +410,39 @@ def split_runs(monkeypatch, fn):
         sys.setswitchinterval(interval)
 
 
+def count_thread_starts(monkeypatch) -> list[threading.Thread]:
+    """The threads started from now on, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
 class TestRowSplit:
-    """Each block's rows run as two ranges, the second on a helper thread;
-    the bits are those of one range on the caller."""
+    """Each parallel step of a call runs as two parts, the second on the
+    call's one helper thread; the bits are those of both parts on the
+    caller."""
 
     def test_ranges_and_threads(self, monkeypatch):
         def ranges(rows):
             seen = []
-            _over_rows(rows, lambda lo, hi: seen.append((lo, hi, threading.current_thread())))
+            with _RowSplit() as split:
+                split.over_rows(rows, lambda lo, hi: seen.append((lo, hi, threading.current_thread())))
             return sorted(seen, key=lambda r: r[0])
 
         caller = threading.current_thread()
+        threads = threading.active_count()
         monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
         (lo0, hi0, t0), (lo1, hi1, t1) = ranges(5)
         assert (lo0, hi0, lo1, hi1) == (0, 3, 3, 5)
         assert t0 is caller and t1 is not caller
         assert [r[:2] for r in ranges(1)] == [(0, 1)]
+        assert threading.active_count() == threads
         monkeypatch.setattr(sampler, "_row_workers", lambda: 1)
         monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread was started"))
         assert ranges(5) == [(0, 5, caller)]
@@ -421,17 +453,36 @@ class TestRowSplit:
         monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         assert sampler._row_workers() == 2
 
-    @pytest.mark.parametrize("params", [MULTI_BLOCK, UNDERFLOW, ONE_ROW_TAIL],
-                             ids=["short-last-block", "underflow", "one-row-tail"])
+    @pytest.mark.parametrize("workers, starts", [(2, 1), (1, 0)])
+    @pytest.mark.parametrize("entry", ["sample_report", "sample_field", "build_sample_report"])
+    def test_one_thread_start_per_call(self, monkeypatch, entry, workers, starts):
+        cfg = make_config(**MULTI_BLOCK)
+        field = sample_field(cfg)
+        calls = {
+            "sample_report": lambda: sample_report(cfg),
+            "sample_field": lambda: sample_field(cfg),
+            "build_sample_report": lambda: build_sample_report(cfg, field),
+        }
+        monkeypatch.setattr(sampler, "_row_workers", lambda: workers)
+        started = count_thread_starts(monkeypatch)
+        calls[entry]()
+        assert len(started) == starts
+        assert not any(thread.is_alive() for thread in started)
+
+    @pytest.mark.parametrize("params", [MULTI_BLOCK, UNDERFLOW, ONE_ROW_TAIL, README_BLOCKS],
+                             ids=["short-last-block", "underflow", "one-row-tail", "readme-blocks"])
     def test_split_changes_no_bits(self, monkeypatch, params):
         cfg = make_config(**params)
-        serial, split = split_runs(
-            monkeypatch, lambda: list(_field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations)))
-        )
+        serial, split = split_runs(monkeypatch, lambda: field_blocks(cfg))
         assert [len(b) for b in split] == [len(b) for b in serial]
         assert b"".join(b.tobytes() for b in split) == b"".join(b.tobytes() for b in serial)
         serial, split = split_runs(monkeypatch, lambda: report_json_bytes(sample_report(cfg)))
         assert split == serial
+        serial, split = split_runs(monkeypatch, lambda: sample_field(cfg).values.tobytes())
+        assert split == serial
+        field = sample_field(cfg)
+        serial, split = split_runs(monkeypatch, lambda: report_json_bytes(build_sample_report(cfg, field)))
+        assert split == serial == report_json_bytes(sample_report(cfg))
 
     @pytest.mark.parametrize("fault, error", [("non-finite", ConfigError), ("raise", KeyError)])
     def test_helper_failure_reaches_the_caller(self, monkeypatch, capsys, fault, error):
@@ -456,6 +507,32 @@ class TestRowSplit:
         assert threading.active_count() == threads
         assert capsys.readouterr().err == ""
 
+    def test_helper_is_joined_after_a_mid_call_error(self, monkeypatch, capsys):
+        # The caller's range of the second block is not finite: the call
+        # fails between blocks, with the helper idle and waiting for work.
+        caller = threading.current_thread()
+        coefficients = sampler._mode_coefficients
+        caller_blocks = []
+
+        def second_block_fails(z, part_weights, out):
+            coefficients(z, part_weights, out)
+            if threading.current_thread() is caller:
+                caller_blocks.append(len(z))
+                if len(caller_blocks) == 2:
+                    out[:] = np.nan
+            return out
+
+        monkeypatch.setattr(sampler, "_mode_coefficients", second_block_fails)
+        monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
+        started = count_thread_starts(monkeypatch)
+        threads = threading.active_count()
+        with pytest.raises(ConfigError, match="finite"):
+            sample_report(make_config(**MULTI_BLOCK))
+        assert len(caller_blocks) == 2
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == ""
+
     def test_caller_failure_still_joins_the_helper(self, monkeypatch):
         monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
         done = []
@@ -467,7 +544,60 @@ class TestRowSplit:
             done.append((lo, hi))
 
         threads = threading.active_count()
-        with pytest.raises(ValueError, match="caller"):
-            _over_rows(4, ranges)
+        with _RowSplit() as split:
+            with pytest.raises(ValueError, match="caller"):
+                split.over_rows(4, ranges)
+            # The step waited for the helper's range before it raised.
+            assert done == [(2, 4)]
+            split.over_rows(2, lambda lo, hi: done.append((lo, hi)))
         assert threading.active_count() == threads
-        assert done == [(2, 4)]
+        assert sorted(done) == [(0, 1), (1, 2), (2, 4)]
+
+
+class TestPairwiseSplit:
+    """The bit-for-bit identities the parallel estimators rest on."""
+
+    @pytest.mark.parametrize("shape", [(2**18,), (3, 1024), (1, 256), (1, 2048), (5, 204)],
+                             ids=["readme-block", "three-rows", "one-row-256", "one-row-2048", "half-not-a-multiple-of-8"])
+    def test_numpy_sum_is_the_sum_of_its_halves(self, shape):
+        x = heavy_tailed(np.random.default_rng(12), shape).ravel()
+        h = sampler._pairwise_half(x.size)
+        whole = float(np.add.reduce(x))
+        assert whole.hex() == (float(np.add.reduce(x[:h])) + float(np.add.reduce(x[h:]))).hex()
+        assert float(x.mean()).hex() == ((float(np.add.reduce(x[:h])) + float(np.add.reduce(x[h:]))) / x.size).hex()
+        # The data tells split points apart: a split 8 values earlier
+        # changes the bits (at this seed, for every shape here).
+        other = float(np.add.reduce(x[: h - 8])) + float(np.add.reduce(x[h - 8 :]))
+        assert other != whole
+
+    def test_leading_row_reduce_equals_the_row_loop(self):
+        rng = np.random.default_rng(12)
+        running = heavy_tailed(rng, 513)
+        rows = heavy_tailed(rng, (9, 513))
+        loop = running.copy()
+        for row in rows:
+            loop += row
+        reduced = np.empty(513)
+        np.add.reduce(np.vstack([running, rows]), axis=0, out=reduced)
+        assert_same_bits(reduced, loop)
+        # The order of the additions matters for these rows.
+        backwards = running.copy()
+        for row in rows[::-1]:
+            backwards += row
+        assert not np.array_equal(backwards, loop)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shape", [(block_rows(1024), 1024), (5, 204), (2, 32)],
+                             ids=["split-block", "half-not-a-multiple-of-8", "small-block"])
+    def test_block_moments_equal_the_unsplit_sums(self, monkeypatch, workers, shape):
+        # One block's centered sums, as numpy sums the whole block at once;
+        # a block of at most 128 samples is summed whole on the caller.
+        values = heavy_tailed(np.random.default_rng(13), shape)
+        x = values.ravel()
+        mean = x.mean()
+        c = x - mean
+        expected = [float(np.sum(c * c)), float(np.sum(c * c * c)), float(np.sum((c * c) * (c * c)))]
+        monkeypatch.setattr(sampler, "_row_workers", lambda: workers)
+        acc = sampler._accumulate(NoiseField(values=values, extent=40.0 * LC, lambda_c=LC, seed=0))
+        assert acc.mean.hex() == float(mean).hex()
+        assert [acc.m2.hex(), acc.m3.hex(), acc.m4.hex()] == [v.hex() for v in expected]
