@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .constants import CONSTANTS
 from .errors import DomainError
@@ -33,8 +33,19 @@ THRESHOLD_PLANCK_UNITS = (3.0 / 8.0) ** 0.25
 
 
 def _require_positive_mass(mass: float) -> None:
-    if not mass > 0.0:
-        raise DomainError("mass must be > 0")
+    if not 0.0 < mass < math.inf:
+        raise DomainError("mass must be finite and > 0")
+
+
+def _energy(name: str, formula: Callable[[], float]) -> float:
+    """``formula()``, or DomainError where it leaves the double range."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} leaves the double range at this mass")
+    return value
 
 
 def gravitational_radius(mass: float) -> float:
@@ -47,7 +58,7 @@ def bh_vqu_printed(mass: float) -> float:
     """Confined-mode quantum-potential energy (3/2)(m_p/2m)^3 m_p c^2, J."""
     _require_positive_mass(mass)
     ratio = CONSTANTS.planck_mass / (2.0 * mass)
-    return 1.5 * ratio**3 * CONSTANTS.planck_energy
+    return _energy("vqu_printed", lambda: 1.5 * ratio**3 * CONSTANTS.planck_energy)
 
 
 def bh_vqu_geometric(mass: float) -> float:
@@ -55,7 +66,7 @@ def bh_vqu_geometric(mass: float) -> float:
     3 (hbar^2/m) (pi/(2 R_g))^2; exactly pi^2 * bh_vqu_printed(mass), J."""
     _require_positive_mass(mass)
     r_g = gravitational_radius(mass)
-    return 3.0 * (CONSTANTS.hbar**2 / mass) * (math.pi / (2.0 * r_g)) ** 2
+    return _energy("vqu_geometric", lambda: 3.0 * (CONSTANTS.hbar**2 / mass) * (math.pi / (2.0 * r_g)) ** 2)
 
 
 def gravitational_energy(mass: float) -> float:
@@ -116,6 +127,8 @@ class BlackHoleReport:
             raise DomainError("gravitational_radius must be > 0")
         if self.stable != (self.e_binding < 0.0):
             raise DomainError("stable flag must equal e_binding < 0")
+        if not self.vqu_printed > 0.0:
+            raise DomainError("vqu_printed underflows to 0 at this mass")
         if not math.isclose(self.vqu_geometric / self.vqu_printed, math.pi**2, rel_tol=1e-12):
             raise DomainError("vqu_geometric/vqu_printed must equal pi^2")
 

@@ -349,7 +349,7 @@ def _cmd_blackhole(args) -> int:
         raise DomainError("mass must be finite and > 0 (in Planck-mass units)")
     try:
         report = bh.black_hole_report(args.mass * CONSTANTS.planck_mass)
-    except (OverflowError, ZeroDivisionError):
+    except DomainError:
         # vqu_printed scales as mass**-3 and leaves the double range first
         raise DomainError(
             f"mass {args.mass!r} m_p is outside the range the report's energies can represent"

@@ -20,17 +20,16 @@ below -700 return exactly 0.0 instead of underflowing noisily.
 The massive and photon formulas take a scalar (and return a Python float)
 or an array of any shape (and return an array), with one rounding rule so
 that both give the same bits: arithmetic and sqrt run as numpy ufuncs,
-which are correctly rounded like Python float operations, while exp, expm1
-and powers go element by element through libm (the math module and float
-``**``), because numpy's SIMD versions differ from libm in the last bit
-for a few values in 10^4.  So the Bose mean energy of an array maps only
-math.expm1 (math.exp past EXP_CUTOFF) over its elements and divides in
-numpy.
+which are correctly rounded like Python float operations, and a square is
+the product x*x, while exp and expm1 go element by element through libm
+(the math module), because numpy's SIMD versions differ from libm in the
+last bit for a few values in 10^4.  So the Bose mean energy of an array
+maps only math.expm1 (math.exp past EXP_CUTOFF) over its elements and
+divides in numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,16 +64,18 @@ def _all(mask) -> bool:
     return mask if isinstance(mask, bool) else bool(mask.all())
 
 
-def _libm(fn, x, *args):
-    """``fn(x, *args)`` through libm: directly for a float ``x``, element by
-    element for an array ``x`` (array ``args`` share its shape)."""
-    try:
-        if isinstance(x, float):
-            return fn(x, *args)
-        columns = (a.ravel().tolist() if isinstance(a, np.ndarray) else itertools.repeat(a) for a in args)
-        return np.fromiter(map(fn, x.ravel().tolist(), *columns), float, x.size).reshape(x.shape)
-    except OverflowError:
-        raise DomainError(f"{fn.__name__} overflows the double range at these inputs") from None
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of each element of ``x`` through libm."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _square(x, name: str):
+    """x*x, correctly rounded; DomainError where it leaves the double range."""
+    with np.errstate(over="ignore"):
+        square = x * x
+    if not _all(square < math.inf):
+        raise DomainError(f"{name}^2 overflows the double range at these inputs")
+    return square
 
 
 def _bose(e, x):
@@ -151,7 +152,7 @@ def mode_probability_rel(wavelength: float, state: ThermalState) -> float:
 
 def n_particle_weight(wavelength: float, n: int, state: ThermalState) -> float:
     """Weight exp[-n E(lambda)/k_B T] of the n-particle occupation."""
-    if n != int(n) or n < 0:
+    if not (n >= 0 and n % 1 == 0):
         raise DomainError("n must be a non-negative integer")
     return _boltzmann(n * _energy_over_kt(wavelength, state))
 
@@ -171,7 +172,7 @@ def mode_density(k: float | np.ndarray) -> float | np.ndarray:
     k = _value(k)
     if not _all(k > 0.0):
         raise DomainError("wavenumber must be > 0")
-    return _libm(math.pow, k, 2.0) / (2.0 * math.pi**2)
+    return _square(k, "k") / (2.0 * math.pi**2)
 
 
 def spectral_density_massive(k: float | np.ndarray, state: ThermalState) -> SpectralPoint:
@@ -189,8 +190,8 @@ def spectral_density_massive(k: float | np.ndarray, state: ThermalState) -> Spec
 def photon_mean_energy(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
     """Planck mean energy hbar*omega/(exp(hbar*omega/kT) - 1), in J."""
     omega = _value(omega)
-    if not _all(omega > 0.0):
-        raise DomainError("omega must be > 0")
+    if not _all((omega > 0.0) & (omega < math.inf)):
+        raise DomainError("omega must be finite and > 0")
     if not (math.isfinite(temperature) and CONSTANTS.k_boltzmann * temperature > 0.0):
         raise DomainError("temperature must be finite, with k_B*T > 0")
     e = CONSTANTS.hbar * omega
@@ -202,7 +203,7 @@ def photon_spectrum(omega: float | np.ndarray, temperature: float) -> tuple:
     Planck mean energy evaluated once for both."""
     omega = _value(omega)
     mean = photon_mean_energy(omega, temperature)
-    return mean, (_libm(math.pow, omega, 2.0) / (math.pi**2 * CONSTANTS.c**3)) * mean
+    return mean, (_square(omega, "omega") / (math.pi**2 * CONSTANTS.c**3)) * mean
 
 
 def planck_spectral_density(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:

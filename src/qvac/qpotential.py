@@ -127,7 +127,13 @@ def vqu_sinusoid(wavelength: float, mass: float) -> float:
     if not mass > 0.0:
         raise DomainError("mass must be > 0")
     k = 2.0 * math.pi / wavelength
-    return (CONSTANTS.hbar**2 / (2.0 * mass)) * k**2
+    try:
+        vqu = (CONSTANTS.hbar**2 / (2.0 * mass)) * k**2
+    except OverflowError:
+        vqu = math.inf
+    if not math.isfinite(vqu):
+        raise DomainError("V_qu leaves the double range at these inputs")
+    return vqu
 
 
 def vqu_traveling(mode: TravelingMode) -> float:

@@ -23,23 +23,25 @@ intermediate (normals, mode coefficients, spectra, moment temporaries)
 is written into one workspace allocated per call; only the field blocks
 handed to callers are fresh arrays, so a caller may keep them.
 
+Each block's work runs as two contiguous row ranges, the first
+``(rows + 1) // 2`` rows and the rest (a block of one row is one range).
 Where the process may run on two or more CPUs, a call starts one helper
-thread and splits each block's work over it and the caller, in three
-steps (numpy releases the interpreter lock in all of that work):
+thread that takes the second range while the caller takes the first;
+numpy releases the interpreter lock in all of that work.  With one
+worker the caller runs both ranges in turn.  A block takes two steps:
 
-1. the rows, as two contiguous ranges: each range draws its normals,
-   forms the mode coefficients, inverse transforms and checks its rows,
-   then takes their ``|rfft|^2`` while they are still in cache;
-2. the sum of each half of the block's samples, for the block mean;
-3. the centered power sums of each half.
+1. each range draws its normals, forms the mode coefficients, inverse
+   transforms and checks its rows, takes their ``|rfft|^2`` while they
+   are still in cache, and sums its samples;
+2. each range sums the centered powers of its samples about the block
+   mean.
 
-The split changes no bits.  Every row is keyed by its own realization
-index and transformed on its own, and each range writes only its own rows
-of the workspace.  The halves of steps 2 and 3 are the two halves numpy's
-pairwise sum splits an array into, so their two sums add up to numpy's
-sum of the whole block.  The periodogram sum and the merge of the
-moments across blocks (Chan et al., Pebay) run on the caller, in index
-order.
+A block's sums are defined over these ranges: the sum of the first
+range's samples plus the sum of the second's.  So the bits do not depend
+on the number of workers.  Every row is keyed by its own realization
+index and transformed on its own, and each range writes only its own
+rows of the workspace.  The periodogram sum and the merge of the moments
+across blocks (Chan et al., Pebay) run on the caller, in index order.
 
 The gaussianity thresholds count effective samples: field samples are
 correlated over about lambda_c / spacing neighbours, and the correlation
@@ -343,32 +345,23 @@ class _RowSplit:
             raise error
         return result, self.result
 
-    def over_rows(self, rows: int, fn: Callable[[int, int], object]) -> None:
-        """``fn(lo, hi)`` over the rows 0 .. rows - 1 of a block as two
-        contiguous ranges, the first ``(rows + 1) // 2`` rows on the
-        caller; with one worker, or a single row, the caller runs all rows
-        as one range."""
+    def over_rows(self, rows: int, fn: Callable[[int, int], object]) -> tuple:
+        """The results of ``fn(lo, hi)`` over the rows 0 .. rows - 1 of a
+        block as two contiguous ranges, the first ``(rows + 1) // 2`` rows
+        on the caller; a single row is one range, run on the caller."""
         mid = (rows + 1) // 2
-        if mid == rows or not self.parallel:
-            fn(0, rows)
-        else:
-            self.pair(fn, (0, mid), (mid, rows))
-
-
-#: numpy sums a contiguous float64 array of more than this many values
-#: pairwise, as the sums of its two halves split at ``_pairwise_half``.
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise_half(n: int) -> int:
-    """Where numpy's pairwise sum of n > _PAIRWISE_BLOCK values splits
-    them: ``np.add.reduce(x)`` is ``np.add.reduce(x[:h]) +
-    np.add.reduce(x[h:])`` bit for bit."""
-    return n // 2 - (n // 2) % 8
+        if mid == rows:
+            return (fn(0, rows),)
+        return self.pair(fn, (0, mid), (mid, rows))
 
 
 def _sum(x: np.ndarray) -> float:
     return float(np.add.reduce(x))
+
+
+def _over_ranges(results: tuple) -> float:
+    """A block's sum from the sums of its one or two row ranges."""
+    return results[0] + results[1] if len(results) == 2 else results[0]
 
 
 def _centered_sums(x: np.ndarray, mean: float, c: np.ndarray, c2: np.ndarray) -> tuple[float, float, float]:
@@ -407,12 +400,14 @@ def _field_blocks(
     work: _Workspace,
     split: _RowSplit,
     then: Callable[[np.ndarray, int, int], object] | None = None,
-) -> Iterator[np.ndarray]:
+) -> Iterator[tuple[np.ndarray, tuple]]:
     """Realizations 0 .. config.realizations - 1 in consecutive blocks of
     ``block_rows(config.grid_points)`` rows (the last may be shorter),
     built in ``work`` with each block's rows split by ``split``.  Each
-    block is a fresh array.  ``then(block, lo, hi)`` runs on each range of
-    rows as soon as they are synthesized, in the same step."""
+    block is a fresh array, yielded with the results of
+    ``then(block, lo, hi)`` on its row ranges (None without ``then``),
+    which runs on each range as soon as its rows are synthesized, in the
+    same step."""
     n = config.grid_points
     k = 2.0 * math.pi * np.fft.rfftfreq(n, d=config.spacing)
     weights = gaussian_spectrum(k, config.lambda_c)
@@ -437,11 +432,9 @@ def _field_blocks(
             part *= amplitude
             if not np.isfinite(part, out=work.finite[lo:hi]).all():
                 raise ConfigError("field values must be finite")
-            if then is not None:
-                then(block, lo, hi)
+            return None if then is None else then(block, lo, hi)
 
-        split.over_rows(block.shape[0], synthesize)
-        yield block
+        yield block, split.over_rows(block.shape[0], synthesize)
 
 
 def sample_field(config: SamplerConfig) -> NoiseField:
@@ -453,7 +446,7 @@ def sample_field(config: SamplerConfig) -> NoiseField:
     start = 0
     work = _Workspace(config.grid_points, config.realizations)
     with _RowSplit() as split:
-        for block in _field_blocks(config, work, split):
+        for block, _ in _field_blocks(config, work, split):
             values[start : start + len(block)] = block
             start += len(block)
     return NoiseField(values=values, extent=config.extent, lambda_c=config.lambda_c, seed=config.seed)
@@ -475,15 +468,19 @@ class _Accumulator:
         self.mean = 0.0
         self.m2 = self.m3 = self.m4 = 0.0
 
-    def spectra(self, block: np.ndarray, lo: int, hi: int) -> None:
-        """``|rfft|^2`` of the block's rows lo .. hi - 1 into the workspace;
-        every row of a block must have its spectrum before ``add``."""
+    def spectra(self, block: np.ndarray, lo: int, hi: int) -> float:
+        """``|rfft|^2`` of the block's rows lo .. hi - 1 into the workspace,
+        and the sum of their samples; every row range of a block must have
+        its spectra before ``add``."""
         work = self.work
         spectrum = np.fft.rfft(block[lo:hi], axis=1, out=work.modes[lo:hi])
         powers = np.abs(spectrum, out=work.power[1 + lo : 1 + hi])
         np.square(powers, out=powers)
+        return _sum(block[lo:hi].ravel())
 
-    def add(self, block: np.ndarray, split: _RowSplit) -> None:
+    def add(self, block: np.ndarray, sums: tuple, split: _RowSplit) -> None:
+        """Fold in a block whose row ranges have their spectra and sample
+        sums ``sums`` (the results of ``spectra``)."""
         rows = block.shape[0]
         work = self.work
         # The running sum above the block's rows: an axis-0 reduce adds them
@@ -494,17 +491,15 @@ class _Accumulator:
         self.rows += rows
         x = block.ravel()
         nb = x.size
+        mean_b = _over_ranges(sums) / nb
         c, c2 = work.moment_scratch(nb)
-        if nb > _PAIRWISE_BLOCK:
-            # numpy's own pairwise split, one half per worker.
-            h = _pairwise_half(nb)
-            sums = split.pair(_sum, (x[:h],), (x[h:],))
-            mean_b = (sums[0] + sums[1]) / nb
-            left, right = split.pair(_centered_sums, (x[:h], mean_b, c[:h], c2[:h]), (x[h:], mean_b, c[h:], c2[h:]))
-            m2_b, m3_b, m4_b = (a + b for a, b in zip(left, right))
-        else:
-            mean_b = float(x.mean())
-            m2_b, m3_b, m4_b = _centered_sums(x, mean_b, c, c2)
+        width = block.shape[1]
+
+        def centered(lo: int, hi: int) -> tuple[float, float, float]:
+            part = slice(lo * width, hi * width)
+            return _centered_sums(x[part], mean_b, c[part], c2[part])
+
+        m2_b, m3_b, m4_b = map(_over_ranges, zip(*split.over_rows(rows, centered)))
         na = self.count
         n = na + nb
         delta = mean_b - self.mean
@@ -533,8 +528,8 @@ def _accumulate(field: NoiseField) -> _Accumulator:
     with _RowSplit() as split:
         for start in range(0, m, rows):
             block = field.values[start : start + rows]
-            split.over_rows(block.shape[0], lambda lo, hi: acc.spectra(block, lo, hi))
-            acc.add(block, split)
+            sums = split.over_rows(block.shape[0], lambda lo, hi: acc.spectra(block, lo, hi))
+            acc.add(block, sums, split)
     return acc
 
 
@@ -705,10 +700,10 @@ def sample_report(config: SamplerConfig, on_block: Callable[[np.ndarray], object
     work = _Workspace(config.grid_points, config.realizations)
     acc = _Accumulator(work)
     with _RowSplit() as split:
-        for block in _field_blocks(config, work, split, then=acc.spectra):
+        for block, sums in _field_blocks(config, work, split, then=acc.spectra):
             if on_block is not None:
                 on_block(block)
-            acc.add(block, split)
+            acc.add(block, sums, split)
     return _report(config, acc)
 
 

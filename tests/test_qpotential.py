@@ -156,6 +156,19 @@ class TestGridNonrel:
             vqu_grid_nonrel(GridDensity(values, 0.1, dims=1), ELECTRON_MASS)
         assert excinfo.value.index == (7,)
 
+    @pytest.mark.parametrize("fraction, singular", [(1.01e-12, False), (0.99e-12, True)], ids=["above", "below"])
+    def test_singular_threshold_is_a_fraction_of_the_maximum(self, fraction, singular):
+        # A dip to just above or just below 1e-12 of the grid maximum.
+        values = np.full(16, 4.0)
+        values[7] = fraction * 4.0
+        dens = GridDensity(values, 0.1, dims=1)
+        if singular:
+            with pytest.raises(SingularDensity) as excinfo:
+                vqu_grid_nonrel(dens, ELECTRON_MASS)
+            assert excinfo.value.index == (7,)
+        else:
+            assert np.isfinite(vqu_grid_nonrel(dens, ELECTRON_MASS)[7])
+
     def test_boundary_zero_is_not_singular(self):
         # a zero at a non-evaluated boundary point is allowed
         values = np.ones(16)

@@ -267,7 +267,7 @@ def reference_field(cfg: SamplerConfig) -> np.ndarray:
 def field_blocks(cfg: SamplerConfig) -> list[np.ndarray]:
     """Every pipeline block of ``cfg``'s realizations, as one call makes them."""
     with _RowSplit() as split:
-        return list(_field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations), split))
+        return [block for block, _ in _field_blocks(cfg, _Workspace(cfg.grid_points, cfg.realizations), split)]
 
 
 def heavy_tailed(rng: np.random.Generator, shape) -> np.ndarray:
@@ -394,6 +394,9 @@ ONE_ROW_TAIL = dict(grid_points=256, extent=2.4e-08, seed=5, realizations=block_
 #: The README block shape: 1024 points, one full 256-row block and a short one.
 README_BLOCKS = dict(grid_points=1024, extent=4.0e-08, seed=6, realizations=block_rows(1024) + 3)
 
+#: One block of three rows: two on the caller, one on the helper.
+THREE_ROWS = dict(realizations=3)
+
 
 def split_runs(monkeypatch, fn):
     """``fn()`` with every block on the caller, then with each block's rows
@@ -431,8 +434,14 @@ class TestRowSplit:
     def test_ranges_and_threads(self, monkeypatch):
         def ranges(rows):
             seen = []
+
+            def record(lo, hi):
+                seen.append((lo, hi, threading.current_thread()))
+                return lo, hi
+
             with _RowSplit() as split:
-                split.over_rows(rows, lambda lo, hi: seen.append((lo, hi, threading.current_thread())))
+                results = split.over_rows(rows, record)
+            assert list(results) == [r[:2] for r in sorted(seen, key=lambda r: r[0])]
             return sorted(seen, key=lambda r: r[0])
 
         caller = threading.current_thread()
@@ -445,7 +454,24 @@ class TestRowSplit:
         assert threading.active_count() == threads
         monkeypatch.setattr(sampler, "_row_workers", lambda: 1)
         monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread was started"))
-        assert ranges(5) == [(0, 5, caller)]
+        assert ranges(5) == [(0, 3, caller), (3, 5, caller)]
+        assert ranges(1) == [(0, 1, caller)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_steps_per_block(self, monkeypatch, workers):
+        # The block's rows with their sample sums, then its centered sums.
+        cfg = make_config(**README_BLOCKS)
+        pair = _RowSplit.pair
+        calls = []
+
+        def counted(self, fn, first, second):
+            calls.append(fn)
+            return pair(self, fn, first, second)
+
+        monkeypatch.setattr(_RowSplit, "pair", counted)
+        monkeypatch.setattr(sampler, "_row_workers", lambda: workers)
+        sample_report(cfg)
+        assert len(calls) == 2 * len(range(0, cfg.realizations, block_rows(cfg.grid_points)))
 
     def test_one_cpu_keeps_one_worker(self, monkeypatch):
         monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -469,8 +495,8 @@ class TestRowSplit:
         assert len(started) == starts
         assert not any(thread.is_alive() for thread in started)
 
-    @pytest.mark.parametrize("params", [MULTI_BLOCK, UNDERFLOW, ONE_ROW_TAIL, README_BLOCKS],
-                             ids=["short-last-block", "underflow", "one-row-tail", "readme-blocks"])
+    @pytest.mark.parametrize("params", [MULTI_BLOCK, UNDERFLOW, ONE_ROW_TAIL, README_BLOCKS, THREE_ROWS],
+                             ids=["short-last-block", "underflow", "one-row-tail", "readme-blocks", "three-rows"])
     def test_split_changes_no_bits(self, monkeypatch, params):
         cfg = make_config(**params)
         serial, split = split_runs(monkeypatch, lambda: field_blocks(cfg))
@@ -557,19 +583,6 @@ class TestRowSplit:
 class TestPairwiseSplit:
     """The bit-for-bit identities the parallel estimators rest on."""
 
-    @pytest.mark.parametrize("shape", [(2**18,), (3, 1024), (1, 256), (1, 2048), (5, 204)],
-                             ids=["readme-block", "three-rows", "one-row-256", "one-row-2048", "half-not-a-multiple-of-8"])
-    def test_numpy_sum_is_the_sum_of_its_halves(self, shape):
-        x = heavy_tailed(np.random.default_rng(12), shape).ravel()
-        h = sampler._pairwise_half(x.size)
-        whole = float(np.add.reduce(x))
-        assert whole.hex() == (float(np.add.reduce(x[:h])) + float(np.add.reduce(x[h:]))).hex()
-        assert float(x.mean()).hex() == ((float(np.add.reduce(x[:h])) + float(np.add.reduce(x[h:]))) / x.size).hex()
-        # The data tells split points apart: a split 8 values earlier
-        # changes the bits (at this seed, for every shape here).
-        other = float(np.add.reduce(x[: h - 8])) + float(np.add.reduce(x[h - 8 :]))
-        assert other != whole
-
     def test_leading_row_reduce_equals_the_row_loop(self):
         rng = np.random.default_rng(12)
         running = heavy_tailed(rng, 513)
@@ -587,17 +600,31 @@ class TestPairwiseSplit:
         assert not np.array_equal(backwards, loop)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("shape", [(block_rows(1024), 1024), (5, 204), (2, 32)],
-                             ids=["split-block", "half-not-a-multiple-of-8", "small-block"])
+    @pytest.mark.parametrize("shape", [(block_rows(1024), 1024), (1, 100), (3, 1024), (5, 204), (2, 32)],
+                             ids=["split-block", "one-row", "three-rows", "half-not-a-multiple-of-8", "small-block"])
     def test_block_moments_equal_the_unsplit_sums(self, monkeypatch, workers, shape):
-        # One block's centered sums, as numpy sums the whole block at once;
-        # a block of at most 128 samples is summed whole on the caller.
+        # Each row range's samples are summed unsplit, the first
+        # (rows + 1) // 2 rows and the rest, and a block's sum is the first
+        # range's plus the second's, with one worker as with two.
         values = heavy_tailed(np.random.default_rng(13), shape)
-        x = values.ravel()
-        mean = x.mean()
-        c = x - mean
-        expected = [float(np.sum(c * c)), float(np.sum(c * c * c)), float(np.sum((c * c) * (c * c)))]
+        mid = (shape[0] + 1) // 2
+        ranges = [part.ravel() for part in (values[:mid], values[mid:]) if part.size]
+
+        def block_sum(f):
+            sums = [float(np.sum(f(x))) for x in ranges]
+            return sums[0] + sums[1] if len(sums) == 2 else sums[0]
+
+        mean = block_sum(lambda x: x) / values.size
+        powers = [lambda c: c * c, lambda c: (c * c) * c, lambda c: (c * c) * (c * c)]
+        expected = [block_sum(lambda x, power=power: power(x - mean)) for power in powers]
         monkeypatch.setattr(sampler, "_row_workers", lambda: workers)
         acc = sampler._accumulate(NoiseField(values=values, extent=40.0 * LC, lambda_c=LC, seed=0))
-        assert acc.mean.hex() == float(mean).hex()
-        assert [acc.m2.hex(), acc.m3.hex(), acc.m4.hex()] == [v.hex() for v in expected]
+        got = [acc.mean, acc.m2, acc.m3, acc.m4]
+        assert [v.hex() for v in got] == [v.hex() for v in [mean, *expected]]
+        # numpy's sum of the whole block: the same bits where numpy splits
+        # the block at the row split (or does not split one row), other bits
+        # here for the other shapes.
+        x = values.ravel()
+        c = x - float(x.mean())
+        unsplit = [float(x.mean()), float(np.sum(c * c)), float(np.sum(c * c * c)), float(np.sum((c * c) * (c * c)))]
+        assert (got == unsplit) == (shape[0] == 1 or shape == (block_rows(1024), 1024))
