@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .constants import CONSTANTS
-from .errors import DomainError
+from .errors import DomainError, finite, positive
 from .numerics import bisect_root
 
 #: Closed-form minimum stable mass in Planck-mass units, the root of
@@ -32,47 +32,29 @@ from .numerics import bisect_root
 THRESHOLD_PLANCK_UNITS = (3.0 / 8.0) ** 0.25
 
 
-def _require_positive_mass(mass: float) -> None:
-    if not 0.0 < mass < math.inf:
-        raise DomainError("mass must be finite and > 0")
-
-
-def _energy(name: str, formula: Callable[[], float]) -> float:
-    """``formula()``, or DomainError where it leaves the double range."""
-    try:
-        value = formula()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"{name} leaves the double range at this mass")
-    return value
-
-
 def gravitational_radius(mass: float) -> float:
     """Schwarzschild radius 2Gm/c^2 (equivalently 2*hbar*m/(m_p^2*c)), m."""
-    _require_positive_mass(mass)
+    positive("mass", mass)
     return 2.0 * CONSTANTS.g_newton * mass / CONSTANTS.c**2
 
 
 def bh_vqu_printed(mass: float) -> float:
     """Confined-mode quantum-potential energy (3/2)(m_p/2m)^3 m_p c^2, J."""
-    _require_positive_mass(mass)
-    ratio = CONSTANTS.planck_mass / (2.0 * mass)
-    return _energy("vqu_printed", lambda: 1.5 * ratio**3 * CONSTANTS.planck_energy)
+    ratio = CONSTANTS.planck_mass / (2.0 * positive("mass", mass))
+    return finite("vqu_printed", lambda: 1.5 * ratio**3 * CONSTANTS.planck_energy)
 
 
 def bh_vqu_geometric(mass: float) -> float:
     """Quantum-potential energy evaluated from the confinement geometry,
     3 (hbar^2/m) (pi/(2 R_g))^2; exactly pi^2 * bh_vqu_printed(mass), J."""
-    _require_positive_mass(mass)
     r_g = gravitational_radius(mass)
-    return _energy("vqu_geometric", lambda: 3.0 * (CONSTANTS.hbar**2 / mass) * (math.pi / (2.0 * r_g)) ** 2)
+    return finite("vqu_geometric", lambda: 3.0 * (CONSTANTS.hbar**2 / mass) * (math.pi / (2.0 * r_g)) ** 2)
 
 
 def gravitational_energy(mass: float) -> float:
     """Gravitational energy -(1/2) m c^2 of the hole, J (always < 0)."""
-    _require_positive_mass(mass)
-    return -0.5 * mass * CONSTANTS.c**2
+    positive("mass", mass)
+    return finite("e_grav", lambda: -0.5 * mass * CONSTANTS.c**2)
 
 
 def binding_energy(mass: float) -> float:
@@ -123,8 +105,7 @@ class BlackHoleReport:
     stable: bool
 
     def __post_init__(self):
-        if not self.gravitational_radius > 0.0:
-            raise DomainError("gravitational_radius must be > 0")
+        positive("gravitational_radius", self.gravitational_radius)
         if self.stable != (self.e_binding < 0.0):
             raise DomainError("stable flag must equal e_binding < 0")
         if not self.vqu_printed > 0.0:
@@ -146,7 +127,6 @@ class BlackHoleReport:
 
 def black_hole_report(mass: float) -> BlackHoleReport:
     """Assemble the report for a hole of ``mass`` kg."""
-    _require_positive_mass(mass)
     e_b = binding_energy(mass)
     return BlackHoleReport(
         mass_kg=mass,

@@ -40,6 +40,8 @@ from .errors import (
     InsufficientTail,
     SingularDensity,
     WrongBranch,
+    finite,
+    positive,
 )
 
 _FLOAT_FMT = "%.16e"
@@ -191,9 +193,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_photon_spectrum(args) -> int:
     units = UnitSystem.parse(args.units)
-    temp = units.to_si(args.temp, "temperature")
-    if not (math.isfinite(temp) and temp > 0.0):
-        raise DomainError("temp must be finite and > 0")
+    temp = positive("temp", units.to_si(args.temp, "temperature"))
     if args.points < 1:
         raise DomainError("points must be >= 1")
     kt_over_hbar = CONSTANTS.k_boltzmann * temp / CONSTANTS.hbar
@@ -201,25 +201,25 @@ def _cmd_photon_spectrum(args) -> int:
     omega_max = units.to_si(args.omega_max, "angular_frequency") if args.omega_max is not None else 25.0 * kt_over_hbar
     if not 0.0 < omega_min <= omega_max < math.inf:
         raise DomainError("omega bounds must satisfy 0 < omega_min <= omega_max < inf")
-    omega_grid = np.geomspace(omega_min, omega_max, args.points)
-    mean, rho = ms.photon_spectrum(omega_grid, temp)
-    columns = {
-        "omega": units.from_si(omega_grid, "angular_frequency"),
-        "mean_energy": units.from_si(mean, "energy"),
-        "spectral_density": units.from_si(rho, "spectral_density_frequency"),
-    }
-    _check_finite(columns)
-    meta = {"temp": args.temp, "units": args.units}
-    footer = None
-    if args.points >= 2:
-        peak = ms.wien_peak(temp)
-        integral = float(np.trapezoid(rho, omega_grid))
-        if not math.isfinite(integral):
-            raise DomainError("integral leaves the double range at these inputs")
-        footer = {
-            "peak_omega": units.from_si(peak, "angular_frequency"),
-            "integral": units.from_si(integral, "energy_density"),
+    # A value that leaves the double range is reported by _check_finite, not by numpy warnings.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        omega_grid = np.geomspace(omega_min, omega_max, args.points)
+        mean, rho = ms.photon_spectrum(omega_grid, temp)
+        columns = {
+            "omega": units.from_si(omega_grid, "angular_frequency"),
+            "mean_energy": units.from_si(mean, "energy"),
+            "spectral_density": units.from_si(rho, "spectral_density_frequency"),
         }
+        _check_finite(columns)
+        footer = None
+        if args.points >= 2:
+            peak = ms.wien_peak(temp)
+            integral = finite("integral", lambda: float(np.trapezoid(rho, omega_grid)))
+            footer = {
+                "peak_omega": units.from_si(peak, "angular_frequency"),
+                "integral": units.from_si(integral, "energy_density"),
+            }
+    meta = {"temp": args.temp, "units": args.units}
     _emit_table(args, "photon-spectrum", meta, columns, footer=footer)
     return 0
 
@@ -233,8 +233,7 @@ def _cmd_correlation(args) -> int:
     temp = units.to_si(args.temp, "temperature")
     if args.points < 2:
         raise DomainError("points must be >= 2")
-    if not (math.isfinite(args.xi_max) and args.xi_max > 0.0):
-        raise DomainError("xi-max must be finite and > 0")
+    positive("xi-max", args.xi_max)
     lambda_c = corr.correlation_length(mass, temp)
     spectrum = corr.gaussian_mode_spectrum(lambda_c)
     xi = np.linspace(0.0, args.xi_max * lambda_c, args.points)
@@ -345,8 +344,7 @@ def _cmd_blackhole(args) -> int:
                 f"  kg:        {_fmt(threshold.kg)}\n",
             )
         return 0
-    if not (math.isfinite(args.mass) and args.mass > 0.0):
-        raise DomainError("mass must be finite and > 0 (in Planck-mass units)")
+    positive("mass in Planck-mass units", args.mass)
     try:
         report = bh.black_hole_report(args.mass * CONSTANTS.planck_mass)
     except DomainError:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, finite, positive
 
 # CODATA-2018 SI values.
 CODATA_HBAR = 1.054571817e-34  # J s, h/(2*pi) with h exact
@@ -49,8 +49,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for name in ("hbar", "c", "k_boltzmann", "g_newton", "planck_mass"):
-            if not getattr(self, name) > 0.0:
-                raise DomainError(f"constant {name} must be strictly positive")
+            positive(f"constant {name}", getattr(self, name))
         derived = math.sqrt(self.hbar * self.c / self.g_newton)
         if not math.isclose(self.planck_mass, derived, rel_tol=1e-12):
             raise AssertionError("planck_mass is not sqrt(hbar*c/G)")
@@ -180,17 +179,15 @@ class ThermalState:
     def __post_init__(self):
         if self.mass < 0.0 or not math.isfinite(self.mass):
             raise DomainError("mass must be finite and >= 0")
-        if not (math.isfinite(self.temperature) and CONSTANTS.k_boltzmann * self.temperature > 0.0):
-            raise DomainError("temperature must be finite, with k_B*T > 0")
+        positive("k_B*temperature", CONSTANTS.k_boltzmann * self.temperature)
         if not (math.isfinite(self.gamma) and self.gamma >= 1.0):
             raise DomainError("gamma must be finite and >= 1")
 
 
 def compton_wavenumber(mass: float) -> float:
     """m*c/hbar, the wavenumber bounding the massive-mode branch (1/m)."""
-    if not mass > 0.0:
-        raise DomainError("compton_wavenumber requires mass > 0")
-    return mass * CONSTANTS.c / CONSTANTS.hbar
+    positive("mass", mass)
+    return finite("compton_wavenumber", lambda: mass * CONSTANTS.c / CONSTANTS.hbar)
 
 
 def dimensionless_groups(state: ThermalState, omega: float) -> tuple[float, float]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import DomainError, InsufficientTail
+from .errors import DomainError, InsufficientTail, positive
 
 #: The transform refuses spectra whose weight at the largest tabulated
 #: wavenumber exceeds this fraction of the spectrum maximum.
@@ -84,10 +84,8 @@ class CorrelationFunction:
 
 def correlation_length(mass: float, temperature: float) -> float:
     """Vacuum-noise correlation length 2*hbar/sqrt(2*m*k_B*T), in m."""
-    if not mass > 0.0:
-        raise DomainError("mass must be > 0")
-    if not temperature > 0.0:
-        raise DomainError("temperature must be > 0")
+    positive("mass", mass)
+    positive("temperature", temperature)
     thermal = 2.0 * mass * CONSTANTS.k_boltzmann * temperature
     if not 0.0 < thermal < math.inf:
         raise DomainError("2*m*k_B*T leaves the double range at these inputs")
@@ -97,8 +95,7 @@ def correlation_length(mass: float, temperature: float) -> float:
 def gaussian_spectrum(k, lambda_c: float):
     """Gaussian spectral weight exp[-(k*lambda_c/2)^2]; accepts scalars or
     arrays, any real k (even in k by construction)."""
-    if not lambda_c > 0.0:
-        raise DomainError("lambda_c must be > 0")
+    positive("lambda_c", lambda_c)
     k = np.asarray(k, dtype=float)
     # A square past the double range is inf, and exp(-inf) = 0 is the weight.
     with np.errstate(over="ignore"):
@@ -109,8 +106,7 @@ def gaussian_spectrum(k, lambda_c: float):
 def analytic_correlation(xi, lambda_c: float):
     """Closed-form correlation exp[-(xi/lambda_c)^2] of the Gaussian
     spectrum (its own cosine-transform pair)."""
-    if not lambda_c > 0.0:
-        raise DomainError("lambda_c must be > 0")
+    positive("lambda_c", lambda_c)
     xi = np.asarray(xi, dtype=float)
     # A square past the double range is inf, and exp(-inf) = 0 is the value.
     with np.errstate(over="ignore"):
@@ -121,8 +117,7 @@ def analytic_correlation(xi, lambda_c: float):
 def gaussian_mode_spectrum(lambda_c: float, points: int = DEFAULT_SPECTRUM_POINTS) -> ModeSpectrum:
     """Tabulate the Gaussian spectrum on [0, 12/lambda_c], where the weight
     is ~2e-16 and the transform tail bound holds."""
-    if not lambda_c > 0.0:
-        raise DomainError("lambda_c must be > 0")
+    positive("lambda_c", lambda_c)
     k = np.linspace(0.0, DEFAULT_KMAX_LC / lambda_c, points)
     return ModeSpectrum(k, gaussian_spectrum(k, lambda_c))
 

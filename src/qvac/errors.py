@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two input guards
+that raise DomainError.
 
 All of these derive from ValueError so that callers who do not care about
 the fine-grained taxonomy can catch a single built-in type.
@@ -6,9 +7,33 @@ the fine-grained taxonomy can catch a single built-in type.
 
 from __future__ import annotations
 
+import math
+from typing import Callable
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation."""
+
+
+def positive(name: str, value):
+    """``value``, a float or an array, when every element is finite and
+    > 0 (NaN is not); otherwise DomainError naming ``name``."""
+    ok = (value > 0.0) & (value < math.inf)
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        raise DomainError(f"{name} must be finite and > 0")
+    return value
+
+
+def finite(name: str, formula: Callable[[], float]) -> float:
+    """``formula()``, or DomainError naming ``name`` where it overflows,
+    divides by zero or is not finite."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"{name} leaves the double range at these inputs")
+    return value
 
 
 class SingularDensity(ValueError):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS, ThermalState
-from .errors import DomainError, ImaginaryEnergy, WrongBranch
+from .errors import DomainError, ImaginaryEnergy, WrongBranch, finite, positive
 from .numerics import golden_section_max
 
 #: Boltzmann exponents beyond this magnitude give an exact zero weight.
@@ -137,12 +137,12 @@ def mode_probability_nonrel(wavelength: float, state: ThermalState) -> float:
     This is the Gaussian-in-wavenumber suppression of short modes; it
     equals gaussian_spectrum(k, correlation_length(m, T)) at k = 2*pi/lambda.
     """
-    if not wavelength > 0.0:
-        raise DomainError("wavelength must be > 0")
-    if not state.mass > 0.0:
-        raise DomainError("mode_probability_nonrel requires mass > 0")
-    k = 2.0 * math.pi / wavelength
-    return _boltzmann((CONSTANTS.hbar * k) ** 2 / (2.0 * state.mass * CONSTANTS.k_boltzmann * state.temperature))
+    k = 2.0 * math.pi / positive("wavelength", wavelength)
+    positive("mass", state.mass)
+    return _boltzmann(finite(
+        "(hbar*k)^2/(2*m*k_B*T)",
+        lambda: (CONSTANTS.hbar * k) ** 2 / (2.0 * state.mass * CONSTANTS.k_boltzmann * state.temperature),
+    ))
 
 
 def mode_probability_rel(wavelength: float, state: ThermalState) -> float:
@@ -154,7 +154,8 @@ def n_particle_weight(wavelength: float, n: int, state: ThermalState) -> float:
     """Weight exp[-n E(lambda)/k_B T] of the n-particle occupation."""
     if not (n >= 0 and n % 1 == 0):
         raise DomainError("n must be a non-negative integer")
-    return _boltzmann(n * _energy_over_kt(wavelength, state))
+    x = _energy_over_kt(wavelength, state)
+    return _boltzmann(finite("n*E/(k_B*T)", lambda: n * x))
 
 
 def mean_energy(wavelength: float | np.ndarray, state: ThermalState) -> float | np.ndarray:
@@ -169,9 +170,7 @@ def mean_energy(wavelength: float | np.ndarray, state: ThermalState) -> float | 
 def mode_density(k: float | np.ndarray) -> float | np.ndarray:
     """Independent modes per volume per wavenumber of a scalar field:
     k^2/(2*pi^2)."""
-    k = _value(k)
-    if not _all(k > 0.0):
-        raise DomainError("wavenumber must be > 0")
+    k = positive("wavenumber", _value(k))
     return _square(k, "k") / (2.0 * math.pi**2)
 
 
@@ -189,13 +188,8 @@ def spectral_density_massive(k: float | np.ndarray, state: ThermalState) -> Spec
 
 def photon_mean_energy(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
     """Planck mean energy hbar*omega/(exp(hbar*omega/kT) - 1), in J."""
-    omega = _value(omega)
-    if not _all((omega > 0.0) & (omega < math.inf)):
-        raise DomainError("omega must be finite and > 0")
-    if not (math.isfinite(temperature) and CONSTANTS.k_boltzmann * temperature > 0.0):
-        raise DomainError("temperature must be finite, with k_B*T > 0")
-    e = CONSTANTS.hbar * omega
-    return _bose(e, e / (CONSTANTS.k_boltzmann * temperature))
+    e = CONSTANTS.hbar * positive("omega", _value(omega))
+    return _bose(e, e / positive("k_B*temperature", CONSTANTS.k_boltzmann * temperature))
 
 
 def photon_spectrum(omega: float | np.ndarray, temperature: float) -> tuple:
@@ -224,11 +218,10 @@ def wien_peak(temperature: float) -> float:
     every temperature; the bracket [0.05, 25] safely contains the single
     interior maximum near x = 2.8214.
     """
-    if not temperature > 0.0:
-        raise DomainError("temperature must be > 0")
+    positive("k_B*temperature", CONSTANTS.k_boltzmann * temperature)
 
     def neg_shape(x: float) -> float:
         return x**3 / math.expm1(x)
 
     x_peak = golden_section_max(neg_shape, 0.05, 25.0, rel_tol=1e-12)
-    return x_peak * CONSTANTS.k_boltzmann * temperature / CONSTANTS.hbar
+    return finite("wien_peak", lambda: x_peak * CONSTANTS.k_boltzmann * temperature / CONSTANTS.hbar)

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import DomainError, SingularDensity
+from .errors import DomainError, SingularDensity, finite, positive
 
 #: Evaluation points with zero density, or density below this fraction of
 #: the grid maximum, are treated as nodes (where V_qu genuinely diverges).
@@ -78,8 +78,10 @@ class GridDensity:
                 f"values must have {expected_ndim} axes for dims={self.dims}, "
                 f"time_axis={self.time_axis}; got {arr.ndim}"
             )
-        if not self.spacing > 0.0:
-            raise DomainError("spacing must be > 0")
+        positive("spacing", self.spacing)
+        # The stencil divides by spacing^2, and a periodic mean multiplies by spacing^dims.
+        power = max(2, self.dims)
+        finite(f"spacing^{power}", lambda: self.spacing**power)
         if not np.all(np.isfinite(arr)):
             raise DomainError("density samples must be finite")
         if np.any(arr < 0.0):
@@ -106,12 +108,11 @@ class TravelingMode:
     mass: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0.0):
-            raise DomainError("wavelength must be finite and > 0")
+        positive("wavelength", self.wavelength)
         if not 0.0 <= self.velocity_ratio <= 1.0:
             raise DomainError("velocity_ratio must lie in [0, 1]")
-        if self.mass < 0.0:
-            raise DomainError("mass must be >= 0")
+        if not 0.0 <= self.mass < math.inf:
+            raise DomainError("mass must be finite and >= 0")
         if self.mass == 0.0 and self.velocity_ratio != 1.0:
             raise DomainError("a massless mode requires velocity_ratio == 1")
 
@@ -122,18 +123,9 @@ def vqu_sinusoid(wavelength: float, mass: float) -> float:
     The energy grows as the inverse square of the wavelength, which is what
     suppresses short-wavelength vacuum fluctuations.
     """
-    if not wavelength > 0.0:
-        raise DomainError("wavelength must be > 0")
-    if not mass > 0.0:
-        raise DomainError("mass must be > 0")
-    k = 2.0 * math.pi / wavelength
-    try:
-        vqu = (CONSTANTS.hbar**2 / (2.0 * mass)) * k**2
-    except OverflowError:
-        vqu = math.inf
-    if not math.isfinite(vqu):
-        raise DomainError("V_qu leaves the double range at these inputs")
-    return vqu
+    k = 2.0 * math.pi / positive("wavelength", wavelength)
+    positive("mass", mass)
+    return finite("V_qu", lambda: (CONSTANTS.hbar**2 / (2.0 * mass)) * k**2)
 
 
 def vqu_traveling(mode: TravelingMode) -> float:
@@ -145,7 +137,7 @@ def vqu_traveling(mode: TravelingMode) -> float:
     if mode.mass == 0.0:
         return 0.0
     k = 2.0 * math.pi / mode.wavelength
-    return -(CONSTANTS.hbar**2 / mode.mass) * k**2 * (1.0 - mode.velocity_ratio**2)
+    return finite("V_qu", lambda: -(CONSTANTS.hbar**2 / mode.mass) * k**2 * (1.0 - mode.velocity_ratio**2))
 
 
 def _region(density: GridDensity) -> tuple[slice, ...]:
@@ -199,8 +191,7 @@ def vqu_grid_nonrel(density: GridDensity, mass: float) -> np.ndarray:
     NaN).  Raises SingularDensity if the density at an evaluation point is
     zero or below ``SINGULAR_FRACTION`` of the grid maximum.
     """
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise DomainError("mass must be finite and > 0")
+    positive("mass", mass)
     if density.time_axis:
         raise DomainError("density has a time axis; use vqu_grid_dalembert")
     out = np.full_like(density.values, np.nan)
@@ -216,14 +207,13 @@ def vqu_grid_dalembert(density: GridDensity, mass: float, dt: float) -> np.ndarr
     step ``dt``.  Only interior time slices are evaluated (NaN elsewhere,
     as for spatial boundaries of non-periodic grids).
     """
-    if not (math.isfinite(mass) and mass > 0.0):
-        raise DomainError("mass must be finite and > 0")
+    positive("mass", mass)
     if not density.time_axis:
         raise DomainError("density lacks a time axis; use vqu_grid_nonrel")
     if density.values.shape[0] < 3:
         raise DomainError("need at least 3 time slices")
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise DomainError("dt must be finite and > 0")
+    positive("dt", dt)
+    finite("dt^2", lambda: dt**2)  # the stencil divides by it
     out = np.full_like(density.values, np.nan)
     out[_region(density)] = _vqu_region(density, CONSTANTS.hbar**2 / mass, dt)
     return out

@@ -4,21 +4,34 @@ or a wrong flag, and never with a bare arithmetic exception."""
 
 import math
 
+import numpy as np
 import pytest
 
 from qvac import (
     ELECTRON_MASS,
     DomainError,
+    GridDensity,
     ThermalState,
+    TravelingMode,
+    analytic_correlation,
     black_hole_report,
     bh_vqu_printed,
+    gaussian_mode_spectrum,
+    gravitational_energy,
     gravitational_radius,
     is_stable,
+    mean_qp_energy,
+    mode_probability_nonrel,
     n_particle_weight,
     photon_mean_energy,
+    vqu_grid_dalembert,
+    vqu_grid_nonrel,
     vqu_sinusoid,
+    vqu_traveling,
+    wien_peak,
 )
 from qvac.blackhole import bh_vqu_geometric
+from qvac.constants import compton_wavenumber
 
 STATE = ThermalState(ELECTRON_MASS, 300.0)
 
@@ -34,8 +47,29 @@ STATE = ThermalState(ELECTRON_MASS, 300.0)
     lambda: black_hole_report(1e300),  # was ZeroDivisionError: vqu_printed underflows to 0
     lambda: gravitational_radius(math.inf),  # was inf
     lambda: is_stable(math.inf),  # was True
+    lambda: compton_wavenumber(math.inf),  # was inf
+    lambda: compton_wavenumber(1e300),  # was inf: m*c overflows
+    lambda: wien_peak(math.inf),  # was inf
+    lambda: wien_peak(1e300),  # was inf: k_B*T*x/hbar overflows
+    lambda: wien_peak(1e-310),  # was 0.0: k_B*T underflows
+    lambda: analytic_correlation(1.0, math.inf),  # was 1.0
+    lambda: gaussian_mode_spectrum(math.inf),  # was a RuntimeWarning, then a k_grid error
+    lambda: vqu_traveling(TravelingMode(1.0, 0.5, math.nan)),  # was nan
+    lambda: vqu_traveling(TravelingMode(1.0, 0.5, math.inf)),  # was -0.0
+    lambda: vqu_grid_nonrel(GridDensity(np.ones(8), math.inf), 1e-30),  # was -0.0 everywhere
+    lambda: vqu_traveling(TravelingMode(1e-300, 0.5, ELECTRON_MASS)),  # was OverflowError: k**2
+    lambda: mode_probability_nonrel(1e-300, STATE),  # was OverflowError: (hbar*k)**2
+    lambda: gravitational_energy(1e300),  # was -inf
+    lambda: n_particle_weight(1e-6, 10**400, STATE),  # was OverflowError: int to float
+    lambda: vqu_grid_nonrel(GridDensity(np.ones(8), 1e200), 1e-30),  # was OverflowError: spacing**2
+    lambda: vqu_grid_dalembert(GridDensity(np.ones((3, 8)), 0.1, time_axis=True), 1e-30, 1e300),  # was OverflowError: dt**2
+    lambda: mean_qp_energy(GridDensity(np.ones((8, 8, 8)), 1e120, dims=3, periodic=True), 1e-30),  # was OverflowError: spacing**3
 ], ids=["weight-n-nan", "weight-n-inf", "photon-omega-inf", "sinusoid-overflow", "vqu-printed-overflow",
-        "vqu-geometric-overflow", "report-inf", "report-underflow", "radius-inf", "stable-inf"])
+        "vqu-geometric-overflow", "report-inf", "report-underflow", "radius-inf", "stable-inf",
+        "compton-inf", "compton-overflow", "wien-inf", "wien-overflow", "wien-underflow", "analytic-lambda-inf",
+        "spectrum-lambda-inf", "traveling-mass-nan", "traveling-mass-inf", "grid-spacing-inf",
+        "traveling-overflow", "nonrel-probability-overflow", "e-grav-overflow", "weight-n-huge",
+        "grid-spacing-square-overflow", "dt-square-overflow", "grid-spacing-cube-overflow"])
 def test_unrepresentable_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

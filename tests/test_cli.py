@@ -545,6 +545,18 @@ class TestQpot:
         assert out == ""
         assert err == "error: dt must be finite and > 0\n"
 
+    @pytest.mark.parametrize("lines, dt, name", [
+        (["t,q,n"] + [f"{t},{0.1 * i},1.0" for t in range(3) for i in range(16)], "1e300", "dt^2"),
+        (["q,n"] + [f"{i}e200,1.0" for i in range(16)], None, "spacing^2"),
+    ], ids=["dt", "q-step"])
+    def test_overflowing_step_square_exits_two(self, tmp_path, capsys, lines, dt, name):
+        # The stencil divides by the square of each grid step.
+        path = self._write(tmp_path, "step.csv", lines)
+        code, out, err = run_cli(capsys, "qpot", path, "--mass", "1e-30", *(["--dt", dt] if dt else []))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name} leaves the double range at these inputs\n"
+
     @pytest.mark.parametrize("argv, name", [
         (("density_q.csv", "--mass", "1e-300", "--units", "Natural"), "vqu"),
         (("density_xyz.csv", "--mass", "4e-297", "--units", "Natural", "--periodic"), "mean_qp_energy"),
@@ -666,6 +678,7 @@ class TestSpectrumInputGuards:
         (("photon-spectrum", "--omega-max", "inf"), "omega"),
         (("photon-spectrum", "--omega-min", "nan"), "omega"),
         (("photon-spectrum", "--omega-max", "1e200"), "overflows"),  # omega**2 leaves the double range
+        (("photon-spectrum", "--omega-max", "1.7976931348623157e308"), "overflows"),  # np.geomspace overflows
     ])
     def test_exits_two_without_output(self, capsys, argv, named):
         defaults = {"spectrum": ["--mass", repr(ELECTRON_MASS), "--temp", "300"],
