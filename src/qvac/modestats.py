@@ -97,7 +97,7 @@ def _bose(e, x):
 
 
 def _boltzmann(x: float) -> float:
-    """Boltzmann weight exp(-x), exactly 0.0 past EXP_CUTOFF."""
+    """Boltzmann weight exp(-x), exactly 0.0 past EXP_CUTOFF (x = +inf included)."""
     return 0.0 if x > EXP_CUTOFF else math.exp(-x)
 
 
@@ -139,10 +139,10 @@ def mode_probability_nonrel(wavelength: float, state: ThermalState) -> float:
     """
     k = 2.0 * math.pi / positive("wavelength", wavelength)
     positive("mass", state.mass)
-    return _boltzmann(finite(
+    return finite(
         "(hbar*k)^2/(2*m*k_B*T)",
-        lambda: (CONSTANTS.hbar * k) ** 2 / (2.0 * state.mass * CONSTANTS.k_boltzmann * state.temperature),
-    ))
+        lambda: _boltzmann((CONSTANTS.hbar * k) ** 2 / (2.0 * state.mass * CONSTANTS.k_boltzmann * state.temperature)),
+    )
 
 
 def mode_probability_rel(wavelength: float, state: ThermalState) -> float:
@@ -155,7 +155,7 @@ def n_particle_weight(wavelength: float, n: int, state: ThermalState) -> float:
     if not (n >= 0 and n % 1 == 0):
         raise DomainError("n must be a non-negative integer")
     x = _energy_over_kt(wavelength, state)
-    return _boltzmann(finite("n*E/(k_B*T)", lambda: n * x))
+    return finite("n*E/(k_B*T)", lambda: _boltzmann(n * x))
 
 
 def mean_energy(wavelength: float | np.ndarray, state: ThermalState) -> float | np.ndarray:

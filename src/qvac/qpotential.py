@@ -79,9 +79,6 @@ class GridDensity:
                 f"time_axis={self.time_axis}; got {arr.ndim}"
             )
         positive("spacing", self.spacing)
-        # The stencil divides by spacing^2, and a periodic mean multiplies by spacing^dims.
-        power = max(2, self.dims)
-        finite(f"spacing^{power}", lambda: self.spacing**power)
         if not np.all(np.isfinite(arr)):
             raise DomainError("density samples must be finite")
         if np.any(arr < 0.0):
@@ -151,14 +148,16 @@ def _region(density: GridDensity) -> tuple[slice, ...]:
     )
 
 
-def _second_difference(s: np.ndarray, region: tuple[slice, ...], axis: int, h: float) -> np.ndarray:
+def _second_difference(s: np.ndarray, region: tuple[slice, ...], axis: int, h: float, name: str) -> np.ndarray:
     """Central second difference along ``axis`` at the points of ``region``.
 
     ``np.roll`` wraps the neighbours of an axis the region covers whole
     (periodic); on any other axis the region stops one point short of
-    either end, so no wrapped neighbour is read.
+    either end, so no wrapped neighbour is read.  ``name`` names the step
+    ``h`` in the DomainError raised where h**2 leaves the double range.
     """
-    return (np.roll(s, -1, axis)[region] - 2.0 * s[region] + np.roll(s, 1, axis)[region]) / h**2
+    h2 = finite(f"{name}^2", lambda: h**2)
+    return (np.roll(s, -1, axis)[region] - 2.0 * s[region] + np.roll(s, 1, axis)[region]) / h2
 
 
 def _vqu_region(density: GridDensity, coef: float, dt: float | None = None) -> np.ndarray:
@@ -177,9 +176,9 @@ def _vqu_region(density: GridDensity, coef: float, dt: float | None = None) -> n
         first = np.argwhere(bad)[0]
         raise SingularDensity(tuple(int(i) + (r.start or 0) for i, r in zip(first, region)))
     s = np.sqrt(density.values)
-    op = sum(_second_difference(s, region, axis, density.spacing) for axis in density.spatial_axes)
+    op = sum(_second_difference(s, region, axis, density.spacing, "spacing") for axis in density.spatial_axes)
     if dt is not None:
-        op = _second_difference(s, region, 0, dt) / CONSTANTS.c**2 - op
+        op = _second_difference(s, region, 0, dt, "dt") / CONSTANTS.c**2 - op
     return -coef * op / s[region]
 
 
@@ -213,7 +212,6 @@ def vqu_grid_dalembert(density: GridDensity, mass: float, dt: float) -> np.ndarr
     if density.values.shape[0] < 3:
         raise DomainError("need at least 3 time slices")
     positive("dt", dt)
-    finite("dt^2", lambda: dt**2)  # the stencil divides by it
     out = np.full_like(density.values, np.nan)
     out[_region(density)] = _vqu_region(density, CONSTANTS.hbar**2 / mass, dt)
     return out
@@ -223,7 +221,7 @@ def _integrate(arr: np.ndarray, axes: tuple[int, ...], h: float, periodic: bool)
     """Integral of ``arr`` over ``axes``: rectangle rule for periodic data
     (exact on the closed loop), trapezoid otherwise."""
     if periodic:
-        return arr.sum(axis=axes) * h**len(axes)
+        return arr.sum(axis=axes) * finite(f"spacing^{len(axes)}", lambda: h**len(axes))
     for axis in reversed(axes):
         arr = np.trapezoid(arr, dx=h, axis=axis)
     return arr

@@ -22,6 +22,7 @@ from qvac import (
     is_stable,
     mean_qp_energy,
     mode_probability_nonrel,
+    mode_probability_rel,
     n_particle_weight,
     photon_mean_energy,
     vqu_grid_dalembert,
@@ -73,3 +74,14 @@ STATE = ThermalState(ELECTRON_MASS, 300.0)
 def test_unrepresentable_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mode_probability_rel(1.0, ThermalState(1e300, 300.0)),  # m*c^2/(k_B*T) overflows to inf
+    lambda: mode_probability_rel(1e-6, ThermalState(ELECTRON_MASS, 1e-300)),  # likewise, through a tiny k_B*T
+    lambda: n_particle_weight(1e-6, 1e308, STATE),  # n*E/(k_B*T) overflows to inf
+    lambda: mode_probability_nonrel(1e-30, ThermalState(1e-200, 1e-100)),  # the division overflows to inf
+], ids=["rel-huge-mass", "rel-tiny-temperature", "weight-n-huge-float", "nonrel-division-overflow"])
+def test_overflowing_boltzmann_exponent_is_a_zero_weight(call):
+    # exp(-inf) is exactly 0: an exponent past the double range is not an error.
+    assert call() == 0.0

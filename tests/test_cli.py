@@ -557,6 +557,15 @@ class TestQpot:
         assert out == ""
         assert err == f"error: {name} leaves the double range at these inputs\n"
 
+    def test_step_square_is_checked_in_si(self, tmp_path, capsys):
+        # 1e160 Planck lengths squares past the double range; the same step in
+        # metres (about 1.6e125 m) does not, and the stencil works in metres.
+        path = self._write(tmp_path, "step.csv", ["q,n"] + [f"{i}e160,{1.0 + 0.1 * (i % 3)}" for i in range(16)])
+        code, out, err = run_cli(capsys, "qpot", path, "--mass", "1", "--units", "Natural")
+        assert code == 0
+        assert err == ""
+        assert "mean_qp_energy" in out
+
     @pytest.mark.parametrize("argv, name", [
         (("density_q.csv", "--mass", "1e-300", "--units", "Natural"), "vqu"),
         (("density_xyz.csv", "--mass", "4e-297", "--units", "Natural", "--periodic"), "mean_qp_energy"),
