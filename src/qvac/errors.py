@@ -8,6 +8,7 @@ the fine-grained taxonomy can catch a single built-in type.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 
@@ -17,8 +18,9 @@ class DomainError(ValueError):
 
 def positive(name: str, value):
     """``value``, a float or an array, when every element is finite and
-    > 0 (NaN is not); otherwise DomainError naming ``name``."""
-    ok = (value > 0.0) & (value < math.inf)
+    > 0 (NaN is not, nor an int past the double range); otherwise
+    DomainError naming ``name``."""
+    ok = (value > 0.0) & (value <= sys.float_info.max)
     if not (ok if isinstance(ok, bool) else ok.all()):
         raise DomainError(f"{name} must be finite and > 0")
     return value

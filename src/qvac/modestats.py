@@ -83,9 +83,12 @@ def _bose(e, x):
     past EXP_CUTOFF.  A float takes one libm call.  For arrays, math.expm1
     runs over the elements up to EXP_CUTOFF and math.exp(-x) over those past
     it, and the division and the product run in numpy: they are the same
-    IEEE operations as Python's / and *, overflowing to inf just as quietly."""
+    IEEE operations as Python's / and *, overflowing to inf just as quietly.
+    A mode energy e past the double range is refused: inf * exp(-x) is NaN."""
     if not _all(x > 0.0):
         raise DomainError("E/(k_B*T) must be > 0; the mode energy underflows at these inputs")
+    if not _all(e < math.inf):
+        raise DomainError("mode energy leaves the double range at these inputs")
     if isinstance(x, float):
         return e * math.exp(-x) if x > EXP_CUTOFF else e / math.expm1(x)
     below, past = x <= EXP_CUTOFF, x > EXP_CUTOFF

@@ -154,9 +154,10 @@ def _second_difference(s: np.ndarray, region: tuple[slice, ...], axis: int, h: f
     ``np.roll`` wraps the neighbours of an axis the region covers whole
     (periodic); on any other axis the region stops one point short of
     either end, so no wrapped neighbour is read.  ``name`` names the step
-    ``h`` in the DomainError raised where h**2 leaves the double range.
+    ``h`` in the DomainError raised where h**2 leaves the double range, by
+    overflow or by an underflow to 0.
     """
-    h2 = finite(f"{name}^2", lambda: h**2)
+    h2 = finite(f"{name}^2", lambda: h**2 or math.inf)
     return (np.roll(s, -1, axis)[region] - 2.0 * s[region] + np.roll(s, 1, axis)[region]) / h2
 
 
@@ -219,9 +220,11 @@ def vqu_grid_dalembert(density: GridDensity, mass: float, dt: float) -> np.ndarr
 
 def _integrate(arr: np.ndarray, axes: tuple[int, ...], h: float, periodic: bool) -> np.ndarray:
     """Integral of ``arr`` over ``axes``: rectangle rule for periodic data
-    (exact on the closed loop), trapezoid otherwise."""
+    (exact on the closed loop), trapezoid otherwise.  Either refuses a step
+    whose power h**len(axes) overflows."""
+    volume = finite(f"spacing^{len(axes)}", lambda: h**len(axes))
     if periodic:
-        return arr.sum(axis=axes) * finite(f"spacing^{len(axes)}", lambda: h**len(axes))
+        return arr.sum(axis=axes) * volume
     for axis in reversed(axes):
         arr = np.trapezoid(arr, dx=h, axis=axis)
     return arr

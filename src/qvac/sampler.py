@@ -54,6 +54,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import queue
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -104,8 +106,8 @@ class SamplerConfig:
         n = self.grid_points
         if n < MIN_GRID_POINTS or (n & (n - 1)) != 0:
             raise ConfigError(f"grid_points must be a power of two >= {MIN_GRID_POINTS}; got {n}")
-        if not self.lambda_c > 0.0:
-            raise ConfigError("lambda_c must be > 0")
+        if not 0.0 < self.lambda_c <= sys.float_info.max:
+            raise ConfigError("lambda_c must be finite and > 0")
         if not self.extent >= MIN_EXTENT_LC * self.lambda_c:
             raise ConfigError(
                 f"extent must be >= {MIN_EXTENT_LC:g}*lambda_c to control periodic wraparound; "
@@ -122,8 +124,8 @@ class SamplerConfig:
             )
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        if self.realizations < 1:
-            raise ConfigError("realizations must be >= 1")
+        if not 1 <= self.realizations <= 2**64:
+            raise ConfigError("realizations must be >= 1 and <= 2**64 (each index is a 64-bit stream key)")
 
     @property
     def spacing(self) -> float:
@@ -293,57 +295,42 @@ class _RowSplit:
     def __init__(self):
         self.parallel = _row_workers() == 2
         self.thread: threading.Thread | None = None
-        self.task: Callable[[], object] | None = None
-        self.result: object = None
-        self.error: BaseException | None = None
-        # Two locks used as signals: ``posted`` is released when a task (or
-        # the stop signal, task None) waits for the helper, ``finished`` when
-        # the helper's part is done.  Either may be released by the thread
-        # that did not acquire it.
-        self.posted = threading.Lock()
-        self.finished = threading.Lock()
+        # The helper takes its parts from ``tasks`` (None stops it) and puts
+        # ``(result, None)`` or ``(None, exception)`` for each on ``done``.
+        self.tasks = queue.SimpleQueue()
+        self.done = queue.SimpleQueue()
 
     def __enter__(self) -> _RowSplit:
         return self
 
     def __exit__(self, *exc_info) -> None:
         if self.thread is not None:
-            self.task = None
-            self.posted.release()
+            self.tasks.put(None)
             self.thread.join()
 
     def _serve(self) -> None:
-        while True:
-            self.posted.acquire()
-            task = self.task
-            if task is None:
-                return
+        while (task := self.tasks.get()) is not None:
             try:
-                self.result = task()
+                self.done.put((task(), None))
             except BaseException as exc:  # re-raised on the caller by pair()
-                self.error = exc
-            self.finished.release()
+                self.done.put((None, exc))
 
     def pair(self, fn: Callable[..., object], first: tuple, second: tuple) -> tuple[object, object]:
         """``(fn(*first), fn(*second))``, the second on the helper."""
         if not self.parallel:
             return fn(*first), fn(*second)
         if self.thread is None:
-            self.posted.acquire()
-            self.finished.acquire()
             thread = threading.Thread(target=self._serve, name="qvac-rows")
             thread.start()
             self.thread = thread
-        self.task = lambda: fn(*second)
-        self.posted.release()
+        self.tasks.put(lambda: fn(*second))
         try:
             result = fn(*first)
         finally:
-            self.finished.acquire()
-            error, self.error = self.error, None
+            helper_result, error = self.done.get()
         if error is not None:
             raise error
-        return result, self.result
+        return result, helper_result
 
     def over_rows(self, rows: int, fn: Callable[[int, int], object]) -> tuple:
         """The results of ``fn(lo, hi)`` over the rows 0 .. rows - 1 of a

@@ -16,10 +16,12 @@ from qvac import (
     analytic_correlation,
     black_hole_report,
     bh_vqu_printed,
+    correlation_length,
     gaussian_mode_spectrum,
     gravitational_energy,
     gravitational_radius,
     is_stable,
+    mean_energy,
     mean_qp_energy,
     mode_probability_nonrel,
     mode_probability_rel,
@@ -65,12 +67,21 @@ STATE = ThermalState(ELECTRON_MASS, 300.0)
     lambda: vqu_grid_nonrel(GridDensity(np.ones(8), 1e200), 1e-30),  # was OverflowError: spacing**2
     lambda: vqu_grid_dalembert(GridDensity(np.ones((3, 8)), 0.1, time_axis=True), 1e-30, 1e300),  # was OverflowError: dt**2
     lambda: mean_qp_energy(GridDensity(np.ones((8, 8, 8)), 1e120, dims=3, periodic=True), 1e-30),  # was OverflowError: spacing**3
+    lambda: gravitational_radius(10**400),  # was OverflowError: int to float
+    lambda: correlation_length(10**400, 1.0),  # was OverflowError: int to float
+    lambda: vqu_grid_nonrel(GridDensity(np.linspace(1, 2, 8), 1e-200), 1e-30),  # was inf: spacing**2 underflows to 0
+    lambda: vqu_grid_dalembert(GridDensity(np.ones((3, 8)), 0.1, time_axis=True), 1e-30, 1e-200),  # was nan: dt**2 is 0
+    lambda: mean_energy(1.0, ThermalState(1e300, 300.0)),  # was nan: inf * exp(-inf)
+    lambda: mean_energy(np.array([1.0, 2.0]), ThermalState(1e300, 300.0)),  # was [nan, nan]
+    lambda: mean_qp_energy(GridDensity(np.ones((8, 8, 8)), 1e120, dims=3), 1e-30),  # was 0.0: the trapezoid overflows
 ], ids=["weight-n-nan", "weight-n-inf", "photon-omega-inf", "sinusoid-overflow", "vqu-printed-overflow",
         "vqu-geometric-overflow", "report-inf", "report-underflow", "radius-inf", "stable-inf",
         "compton-inf", "compton-overflow", "wien-inf", "wien-overflow", "wien-underflow", "analytic-lambda-inf",
         "spectrum-lambda-inf", "traveling-mass-nan", "traveling-mass-inf", "grid-spacing-inf",
         "traveling-overflow", "nonrel-probability-overflow", "e-grav-overflow", "weight-n-huge",
-        "grid-spacing-square-overflow", "dt-square-overflow", "grid-spacing-cube-overflow"])
+        "grid-spacing-square-overflow", "dt-square-overflow", "grid-spacing-cube-overflow", "radius-huge-int",
+        "correlation-length-huge-int", "grid-spacing-square-underflow", "dt-square-underflow", "mean-energy-overflow",
+        "mean-energy-array-overflow", "non-periodic-spacing-cube-overflow"])
 def test_unrepresentable_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

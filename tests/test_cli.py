@@ -548,7 +548,8 @@ class TestQpot:
     @pytest.mark.parametrize("lines, dt, name", [
         (["t,q,n"] + [f"{t},{0.1 * i},1.0" for t in range(3) for i in range(16)], "1e300", "dt^2"),
         (["q,n"] + [f"{i}e200,1.0" for i in range(16)], None, "spacing^2"),
-    ], ids=["dt", "q-step"])
+        (["q,n"] + [f"{i}e-200,1.0" for i in range(16)], None, "spacing^2"),  # the square underflows to 0
+    ], ids=["dt", "q-step", "q-step-underflow"])
     def test_overflowing_step_square_exits_two(self, tmp_path, capsys, lines, dt, name):
         # The stencil divides by the square of each grid step.
         path = self._write(tmp_path, "step.csv", lines)
@@ -682,6 +683,7 @@ class TestSpectrumInputGuards:
         (("spectrum", "--gamma", "inf"), "gamma"),
         (("spectrum", "--temp", "inf"), "temperature"),
         (("spectrum", "--mass", "1e-300", "--temp", "1e300"), "underflows"),  # E/kT underflows to 0
+        (("spectrum", "--mass", "1e-5", "--gamma", "1e300"), "mode energy"),  # m*gamma*c^2 overflows to inf
         (("photon-spectrum", "--temp", "1e-300"), "underflows"),  # hbar*omega underflows to 0
         (("photon-spectrum", "--temp", "inf"), "temp"),
         (("photon-spectrum", "--omega-max", "inf"), "omega"),

@@ -5,7 +5,8 @@ The scalar value functions and every float flag of the CLI are given NaN,
 per argument so that the later checks of a call are reached too.
 A value function returns finite numbers or raises a ``qvac.errors`` type;
 the CLI exits 0, 1 or 2, prints no traceback or Python warning, ends an
-exit 2 with one ``error:`` line, and writes no NaN or infinity.
+exit 2 with one ``error:`` line, and writes no NaN or infinity.  A
+``qvac sample`` config with one field out of its range exits 2.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import contextlib
 import dataclasses
 import functools
 import io
+import json
 import math
 import re
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +39,7 @@ from qvac import (
     mode_probability_nonrel,
     mode_probability_rel,
     n_particle_weight,
+    sampler,
     vqu_sinusoid,
     vqu_traveling,
     wien_peak,
@@ -171,3 +175,33 @@ def test_cli_float_flags(command, data, density_files):
         assert last.startswith("error: ") and all(line.startswith("warning: ") for line in before), (argv, err)
         assert out == "", argv
     assert not _NON_FINITE.search(out), (argv, out)
+
+
+#: A tiny ``qvac sample`` config (256 points, 2 realizations), as JSON literals.
+SAMPLE_CONFIG = {"grid_points": "256", "extent": "2.4e-08", "lambda_c": "1e-09", "seed": "9", "realizations": "2"}
+
+#: JSON literals that no config field takes, seed 0 aside.  json reads NaN,
+#: Infinity and 1e400 as floats and the 401-digit literal as an int.
+SAMPLE_EDGES = ("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "0", "-1", "-2.5", "true", "false", '"256"')
+
+
+@pytest.fixture(scope="module")
+def sample_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("sample")
+
+
+@pytest.mark.parametrize("field", sorted(SAMPLE_CONFIG))
+@FUZZ
+@given(data=st.data())
+def test_sample_config_field_out_of_range_exits_two(field, data, sample_dir):
+    edges = [v for v in SAMPLE_EDGES if (field, v) != ("seed", "0")]
+    literals = dict(SAMPLE_CONFIG, **{field: data.draw(st.sampled_from(edges), label=field)})
+    config, report = sample_dir / "config.json", sample_dir / "report.json"
+    config.write_text("{" + ", ".join(f"{json.dumps(name)}: {value}" for name, value in literals.items()) + "}")
+    # Refused before any draw: a draw of 10**400 realizations would not end.
+    with mock.patch.object(sampler, "sample_report", side_effect=AssertionError("the config was accepted")):
+        code, out, err = _run(["sample", str(config), "--no-field", "--report-out", str(report)])
+    assert code == 2, (literals, err)
+    assert out == "" and "Traceback" not in err and "Warning" not in err, (literals, err)
+    assert err.startswith("error: ") and err.count("\n") == 1, (literals, err)
+    assert not report.exists()

@@ -76,6 +76,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="lambda_c"):
             make_config(lambda_c=0.0)
 
+    @pytest.mark.parametrize("overrides, field", [
+        (dict(grid_points=1024, extent=math.inf, lambda_c=math.inf, seed=0, realizations=1), "lambda_c"),
+        (dict(extent=10**402, lambda_c=10**400), "lambda_c"),
+        (dict(realizations=10**400), "realizations"),
+        (dict(realizations=2**64 + 1), "realizations"),  # realization 2**64 has no 64-bit stream key
+    ], ids=["lambda-c-inf", "lambda-c-huge-int", "realizations-huge-int", "realizations-past-the-key"])
+    def test_values_past_the_range_are_refused(self, overrides, field):
+        with pytest.raises(ConfigError, match=field):
+            make_config(**overrides)
+
     def test_load_config_defaults(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"lambda_c": LC}))
