@@ -683,13 +683,13 @@ class TestSpectrumInputGuards:
         (("spectrum", "--gamma", "inf"), "gamma"),
         (("spectrum", "--temp", "inf"), "temperature"),
         (("spectrum", "--mass", "1e-300", "--temp", "1e300"), "underflows"),  # E/kT underflows to 0
-        (("spectrum", "--mass", "1e-5", "--gamma", "1e300"), "mode energy"),  # m*gamma*c^2 overflows to inf
         (("photon-spectrum", "--temp", "1e-300"), "underflows"),  # hbar*omega underflows to 0
         (("photon-spectrum", "--temp", "inf"), "temp"),
         (("photon-spectrum", "--omega-max", "inf"), "omega"),
         (("photon-spectrum", "--omega-min", "nan"), "omega"),
         (("photon-spectrum", "--omega-max", "1e200"), "overflows"),  # omega**2 leaves the double range
         (("photon-spectrum", "--omega-max", "1.7976931348623157e308"), "overflows"),  # np.geomspace overflows
+        (("spectrum", "--mass", "1e-5", "--gamma", "1e300"), "mode energy"),  # m*gamma*c^2 overflows to inf
     ])
     def test_exits_two_without_output(self, capsys, argv, named):
         defaults = {"spectrum": ["--mass", repr(ELECTRON_MASS), "--temp", "300"],
