@@ -274,7 +274,8 @@ def _cmd_sample(args) -> int:
             report = smp.sample_report(config, lambda block: render.write_rows(fh, block))
     with open(args.report_out, "wb") as fh:
         fh.write(smp.report_json_bytes(report))
-    summary = "pass" if report["pass"] else "FAIL"
+    failed = [name for name, key in (("correlation", "pass"), ("gaussianity", "passed")) if not report[name][key]]
+    summary = f"FAIL ({', '.join(failed)})" if failed else "pass"
     print(
         f"sample: {config.realizations} realizations on {config.grid_points} points; "
         f"G(lambda_c) = {report['correlation']['at_lambda_c']:.6f} "

@@ -37,9 +37,10 @@ DEFAULT_KMAX_LC = 12.0
 #: Default number of samples of a generated Gaussian spectrum.
 DEFAULT_SPECTRUM_POINTS = 4096
 
-#: Lag-by-wavenumber values per block of the cosine transform: a block's
-#: temporaries take 8 bytes per value each, so memory is bounded by this,
-#: not by the lag count (2^17 values: 32 lags of a 4096-point spectrum).
+#: Values per buffer of the cosine transform: each of its buffers takes 8
+#: bytes per value, so memory is bounded by this, not by the lag count
+#: (2^17 values: 32 lags of a 4096-point spectrum on the direct path, and
+#: 16 offsets, a cosine and a sine per wavenumber, on the uniform-lag one).
 BLOCK_VALUES = 2**17
 
 
@@ -153,11 +154,14 @@ def correlation_from_spectrum(spectrum: ModeSpectrum, xi_grid) -> CorrelationFun
     last grid point, otherwise the truncated transform would ring, and no
     lag may exceed max_lag(spectrum), past which it aliases.
 
-    The lags are transformed in blocks of about BLOCK_VALUES // k.size
-    through one scratch buffer allocated per call; each lag's value is its
-    own row of products and sum, in the operation order of np.trapezoid,
-    so the result is bit for bit that of np.trapezoid over every lag at
-    once.
+    Lags that are exactly np.linspace(0, xi[-1], xi.size), as the CLI's
+    are, go through ``_uniform_lag_sums`` (a fifth of the cosine calls at
+    256 lags) and are normalized by its own lag-0 sum, so G(0) is exactly
+    1.  Any other lags are transformed in blocks of about
+    BLOCK_VALUES // k.size through one scratch buffer allocated per call;
+    each lag's value is its own row of products and sum, in the operation
+    order of np.trapezoid, so the result is bit for bit that of
+    np.trapezoid over every lag at once.
     """
     k = spectrum.k_grid
     s = spectrum.s_values
@@ -180,6 +184,19 @@ def correlation_from_spectrum(spectrum: ModeSpectrum, xi_grid) -> CorrelationFun
         raise DomainError(
             f"lag {float(xi.max()):.6g} is past pi/dk = {limit:.6g} of the k grid, where the transform aliases"
         )
+    if np.array_equal(xi, np.linspace(0.0, xi[-1], xi.size)):
+        g_raw = _uniform_lag_sums(k, s, xi)
+        norm = g_raw[0]
+    else:
+        g_raw = _direct_sums(k, s, xi)
+        norm = np.trapezoid(s, k)
+    g = g_raw / norm
+    return CorrelationFunction(xi_grid=xi, g_values=g, lambda_c=e_folding_lag(xi, g))
+
+
+def _direct_sums(k: np.ndarray, s: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """np.trapezoid(cos(k*xi) * s, k) for each lag, one cosine per lag and
+    wavenumber, in blocks of about BLOCK_VALUES // k.size lags."""
     rows = min(xi.size, max(1, BLOCK_VALUES // k.size))
     dk = np.diff(k)
     scratch = np.empty(rows * (2 * k.size - 1))
@@ -196,6 +213,55 @@ def correlation_from_spectrum(spectrum: ModeSpectrum, xi_grid) -> CorrelationFun
         np.multiply(dk, pair, out=pair)
         np.divide(pair, 2.0, out=pair)
         np.add.reduce(pair, axis=1, out=g_raw[start:start + lags.size])
-    norm = np.trapezoid(s, k)
-    g = g_raw / norm
-    return CorrelationFunction(xi_grid=xi, g_values=g, lambda_c=e_folding_lag(xi, g))
+    return g_raw
+
+
+def _uniform_lag_sums(k: np.ndarray, s: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Trapezoid sums of cos(k*xi) * s for the lags xi = np.linspace(0,
+    xi[-1], L), by angle addition.
+
+    The lags are taken in windows of 2h + 1 around a centre lag c, and
+    cos(k(xi_c +- xi_a)) = cos(k xi_c) cos(k xi_a) -+ sin(k xi_c) sin(k xi_a).
+    One table holds [cos | sin](k xi_a) for the offsets a = 0..h.  Each
+    window takes one vector [w*s*cos | -w*s*sin](k xi_c), with the
+    trapezoid weights w folded in, and one elementwise product with the
+    table and one reduce of each half give P_a (cosine half) and Q_a
+    (sine half): lag c + a is P_a + Q_a and lag c - a is P_a - Q_a.  So
+    2n(ceil(L/(2h+1)) + h + 1) sines and cosines replace L*n cosines, and
+    about n products and sums per lag replace the 2n of a full row, for n
+    wavenumbers.  2h + 1 ~ sqrt(2L) minimizes the sine and cosine count,
+    and (h + 1)*2n <= BLOCK_VALUES bounds the table and the product
+    buffer.  No matrix product is used: BLAS would make the bits depend on
+    the CPU.
+    """
+    n, lags = k.size, xi.size
+    h = max(0, min(math.isqrt(lags // 2), BLOCK_VALUES // (2 * n) - 1))
+    half = np.diff(k) / 2.0
+    weights = np.zeros(2 * n)
+    weights[: n - 1] = half
+    weights[1:n] += half
+    weights[:n] *= s
+    np.negative(weights[:n], out=weights[n:])
+    scratch = np.empty((2 * (h + 1), 2 * n))
+    table, product = scratch[: h + 1], scratch[h + 1 :]
+    np.multiply(xi[: h + 1, None], k, out=table[:, n:])
+    np.cos(table[:, n:], out=table[:, :n])
+    np.sin(table[:, n:], out=table[:, n:])
+    vector = np.empty(2 * n)
+    halves = np.empty((h + 1, 2))
+    p, q = halves[:, 0], halves[:, 1]
+    g_raw = np.empty(lags)
+    for lo in range(0, lags, 2 * h + 1):
+        # The last window may end early; its centre then moves to the last lag.
+        hi = min(lo + 2 * h, lags - 1)
+        centre = min(lo + h, hi)
+        np.multiply(k, xi[centre], out=vector[n:])
+        np.cos(vector[n:], out=vector[:n])
+        np.sin(vector[n:], out=vector[n:])
+        vector *= weights
+        np.multiply(table, vector, out=product)
+        np.add.reduce(product.reshape(h + 1, 2, n), axis=-1, out=halves)
+        ahead, behind = hi - centre + 1, centre - lo
+        np.add(p[:ahead], q[:ahead], out=g_raw[centre : hi + 1])
+        np.subtract(p[1 : behind + 1], q[1 : behind + 1], out=g_raw[lo:centre][::-1])
+    return g_raw

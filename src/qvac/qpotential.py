@@ -35,6 +35,7 @@ import csv
 import lzma
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -155,9 +156,10 @@ def _second_difference(s: np.ndarray, region: tuple[slice, ...], axis: int, h: f
     (periodic); on any other axis the region stops one point short of
     either end, so no wrapped neighbour is read.  ``name`` names the step
     ``h`` in the DomainError raised where h**2 leaves the double range, by
-    overflow or by an underflow to 0.
+    overflow or by an underflow below the smallest normal double, where
+    dividing by it would overflow.
     """
-    h2 = finite(f"{name}^2", lambda: h**2 or math.inf)
+    h2 = finite(f"{name}^2", lambda: h**2 if h**2 >= sys.float_info.min else math.inf)
     return (np.roll(s, -1, axis)[region] - 2.0 * s[region] + np.roll(s, 1, axis)[region]) / h2
 
 

@@ -70,3 +70,18 @@ def assert_same_bits(actual: np.ndarray, expected: np.ndarray) -> None:
             f"{differ.size} of {actual.size} values differ in their bits; first at index {tuple(map(int, where))}: "
             f"{float(actual[where]).hex()} != {float(expected[where]).hex()}"
         )
+
+
+def dispatch_levels() -> list[str]:
+    """Values of numpy's NPY_DISABLE_CPU_FEATURES that select each SIMD
+    dispatch level this CPU offers, from the highest (nothing disabled)
+    down to numpy's baseline (every dispatch target disabled).
+
+    numpy lists its dispatch targets in ascending order, so each level
+    disables the targets above it.  The variable acts only in a new
+    process, which must read it before importing numpy.
+    """
+    from numpy._core import _multiarray_umath
+
+    offered = [name for name in _multiarray_umath.__cpu_dispatch__ if _multiarray_umath.__cpu_features__.get(name)]
+    return [" ".join(offered[i:]) for i in range(len(offered), -1, -1)]

@@ -74,6 +74,9 @@ STATE = ThermalState(ELECTRON_MASS, 300.0)
     lambda: mean_energy(1.0, ThermalState(1e300, 300.0)),  # was nan: inf * exp(-inf)
     lambda: mean_energy(np.array([1.0, 2.0]), ThermalState(1e300, 300.0)),  # was [nan, nan]
     lambda: mean_qp_energy(GridDensity(np.ones((8, 8, 8)), 1e120, dims=3), 1e-30),  # was 0.0: the trapezoid overflows
+    lambda: vqu_grid_nonrel(GridDensity(np.linspace(1, 2, 8), 1e-160), 1e-30),  # was inf: spacing**2 is subnormal
+    lambda: mean_qp_energy(GridDensity(np.linspace(1, 2, 8), 1e-160), 1e-30),  # was inf, likewise
+    lambda: vqu_grid_dalembert(GridDensity(np.ones((3, 8)), 0.1, time_axis=True), 1e-30, 1e-160),  # dt**2 is subnormal
 ], ids=["weight-n-nan", "weight-n-inf", "photon-omega-inf", "sinusoid-overflow", "vqu-printed-overflow",
         "vqu-geometric-overflow", "report-inf", "report-underflow", "radius-inf", "stable-inf",
         "compton-inf", "compton-overflow", "wien-inf", "wien-overflow", "wien-underflow", "analytic-lambda-inf",
@@ -81,7 +84,8 @@ STATE = ThermalState(ELECTRON_MASS, 300.0)
         "traveling-overflow", "nonrel-probability-overflow", "e-grav-overflow", "weight-n-huge",
         "grid-spacing-square-overflow", "dt-square-overflow", "grid-spacing-cube-overflow", "radius-huge-int",
         "correlation-length-huge-int", "grid-spacing-square-underflow", "dt-square-underflow", "mean-energy-overflow",
-        "mean-energy-array-overflow", "non-periodic-spacing-cube-overflow"])
+        "mean-energy-array-overflow", "non-periodic-spacing-cube-overflow", "grid-spacing-square-subnormal",
+        "mean-spacing-square-subnormal", "dt-square-subnormal"])
 def test_unrepresentable_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

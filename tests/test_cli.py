@@ -20,6 +20,7 @@ from qvac import (
 )
 from qvac import cli
 from qvac import qpotential as qp
+from qvac import sampler as smp
 from qvac.cli import RENDER_ROWS, main
 from qvac.sampler import block_rows
 
@@ -418,6 +419,26 @@ class TestSample:
         eight_blocks = sample_peak(8 * block_rows(256))
         assert eight_blocks <= 1.5 * one_block, (one_block, eight_blocks)
 
+    @pytest.mark.parametrize("seed, summary", [(9, "pass"), (10, "FAIL (correlation)")])
+    def test_summary_names_the_failing_estimator(self, tmp_path, capsys, seed, summary):
+        # 64 realizations of 256 points over 25.6 lambda_c: seed 10 is a
+        # correlation false alarm of the fixed 0.02 tolerance.
+        cfg = self._write_config(tmp_path, extent=25.6e-9, realizations=64, seed=seed)
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(capsys, "sample", str(cfg), "--no-field", "--report-out", str(report))
+        assert code == 0 and out == ""
+        assert err.count("\n") == 1 and err.endswith(f"; estimators {summary}\n"), err
+        assert json.loads(report.read_text())["pass"] == (summary == "pass")
+
+    def test_summary_names_every_failing_estimator(self, tmp_path, capsys, monkeypatch):
+        report = {"correlation": {"pass": False, "at_lambda_c": 0.5, "target": 0.25},
+                  "gaussianity": {"passed": False}, "pass": False}
+        monkeypatch.setattr(smp, "sample_report", lambda config, on_block=None: report)
+        cfg = self._write_config(tmp_path)
+        code, _, err = run_cli(capsys, "sample", str(cfg), "--no-field", "--report-out", str(tmp_path / "r.json"))
+        assert code == 0
+        assert err.endswith("; estimators FAIL (correlation, gaussianity)\n"), err
+
 
 @pytest.fixture(scope="module")
 def long_density(tmp_path_factory):
@@ -549,7 +570,8 @@ class TestQpot:
         (["t,q,n"] + [f"{t},{0.1 * i},1.0" for t in range(3) for i in range(16)], "1e300", "dt^2"),
         (["q,n"] + [f"{i}e200,1.0" for i in range(16)], None, "spacing^2"),
         (["q,n"] + [f"{i}e-200,1.0" for i in range(16)], None, "spacing^2"),  # the square underflows to 0
-    ], ids=["dt", "q-step", "q-step-underflow"])
+        (["q,n"] + [f"{i}e-160,{1.0 + 0.1 * (i % 3)}" for i in range(16)], None, "spacing^2"),  # it is subnormal
+    ], ids=["dt", "q-step", "q-step-underflow", "q-step-subnormal"])
     def test_overflowing_step_square_exits_two(self, tmp_path, capsys, lines, dt, name):
         # The stencil divides by the square of each grid step.
         path = self._write(tmp_path, "step.csv", lines)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +22,10 @@ from qvac import (
     gaussian_spectrum,
     mode_probability_nonrel,
 )
+from qvac import correlation
 from qvac.correlation import BLOCK_VALUES, max_lag
 
-from helpers import assert_same_bits, traced_peak
+from helpers import assert_same_bits, dispatch_levels, traced_peak
 
 
 class TestCorrelationLength:
@@ -165,8 +170,9 @@ class TestTransform:
 
 
 class TestBlockedTransform:
-    """Lags are transformed BLOCK_VALUES // points at a time; every lag
-    keeps its own products and sum, so the result is the one-shot one."""
+    """Lags other than an exact np.linspace from 0 are transformed
+    BLOCK_VALUES // points at a time; every lag keeps its own products and
+    sum, so the result is the one-shot one."""
 
     @pytest.mark.parametrize("lags", [1, "block-1", "block", "block+1", 256, 1000])
     @pytest.mark.parametrize("points", [256, 257, 4096])
@@ -188,6 +194,77 @@ class TestBlockedTransform:
         xi = np.linspace(0.0, 3.0 * lam_c, 20_000)
         peak = traced_peak(lambda: correlation_from_spectrum(spectrum, xi)).peak
         assert peak < 4 * 8 * BLOCK_VALUES + 2 * xi.nbytes, peak
+
+    def test_memory_of_arbitrary_lags_is_bounded_by_the_block(self):
+        # Random lags take the direct path; linspace lags above take the kernel.
+        lam_c = 2.4e-9
+        spectrum = gaussian_mode_spectrum(lam_c)
+        xi = np.random.default_rng(20_000).uniform(0.0, 3.0 * lam_c, 20_000)
+        peak = traced_peak(lambda: correlation_from_spectrum(spectrum, xi)).peak
+        assert peak < 4 * 8 * BLOCK_VALUES + 2 * xi.nbytes, peak
+
+
+#: Prints a digest of the uniform-lag kernel's output at the numpy dispatch
+#: level that NPY_DISABLE_CPU_FEATURES selects.  The spectrum is built with
+#: math.exp, since np.exp rounds differently at different levels.
+_DIGEST_CHILD = """
+import hashlib, math, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from qvac.correlation import ModeSpectrum, correlation_from_spectrum, max_lag
+assert not any(__cpu_features__[name] for name in sys.argv[1].split()), sys.argv[1]
+lam_c = 2.4e-9
+k = np.linspace(0.0, 12.0 / lam_c, 4096)
+s = np.array([math.exp(-(x * lam_c / 2.0) * (x * lam_c / 2.0)) for x in k.tolist()])
+spectrum = ModeSpectrum(k, s)
+for lags in (256, 2000):
+    g = correlation_from_spectrum(spectrum, np.linspace(0.0, max_lag(spectrum), lags)).g_values
+    print(hashlib.sha256(g.tobytes()).hexdigest())
+"""
+
+
+class TestUniformLagKernel:
+    """Lags that are exactly np.linspace(0, xi[-1], L) are transformed by
+    angle addition, with a fraction of the cosine calls; the result agrees
+    with the direct path and G(0) is exactly 1."""
+
+    @pytest.mark.parametrize("lags", [2, 3, 16, 256, 2000, 20_000])
+    @pytest.mark.parametrize("points", [256, 257, 4096])
+    def test_agrees_with_the_direct_path(self, points, lags):
+        spectrum = gaussian_mode_spectrum(2.4e-9, points)
+        k, s = spectrum.k_grid, spectrum.s_values
+        xi = np.linspace(0.0, max_lag(spectrum), lags)
+        got = correlation_from_spectrum(spectrum, xi).g_values
+        direct = correlation._direct_sums(k, s, xi) / np.trapezoid(s, k)
+        assert got[0] == 1.0
+        assert np.max(np.abs(got - direct)) < 5e-14
+
+    def test_exact_linspace_picks_the_kernel_and_one_ulp_off_does_not(self, monkeypatch):
+        lam_c = 2.4e-9
+        spectrum = gaussian_mode_spectrum(lam_c)
+        k, s = spectrum.k_grid, spectrum.s_values
+        kernel, calls = correlation._uniform_lag_sums, []
+        monkeypatch.setattr(correlation, "_uniform_lag_sums", lambda *args: calls.append(args) or kernel(*args))
+        xi = np.linspace(0.0, 3.0 * lam_c, 256)
+        correlation_from_spectrum(spectrum, xi)
+        assert len(calls) == 1
+        nudged = xi.copy()
+        nudged[100] = np.nextafter(nudged[100], np.inf)
+        got = correlation_from_spectrum(spectrum, nudged).g_values
+        assert len(calls) == 1
+        assert_same_bits(got, np.trapezoid(np.cos(np.outer(nudged, k)) * s, k, axis=1) / np.trapezoid(s, k))
+
+    def test_same_bits_at_every_dispatch_level(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(correlation.__file__).parents[1]))
+        digests = {}
+        for disabled in dispatch_levels():
+            run = subprocess.run(
+                [sys.executable, "-c", _DIGEST_CHILD, disabled],
+                env=dict(env, NPY_DISABLE_CPU_FEATURES=disabled), capture_output=True, text=True, timeout=120,
+            )
+            assert run.returncode == 0, (disabled, run.stderr)
+            digests[disabled] = run.stdout
+        assert len(set(digests.values())) == 1, digests
 
 
 class TestAliasLimit:

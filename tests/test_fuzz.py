@@ -6,7 +6,8 @@ per argument so that the later checks of a call are reached too.
 A value function returns finite numbers or raises a ``qvac.errors`` type;
 the CLI exits 0, 1 or 2, prints no traceback or Python warning, ends an
 exit 2 with one ``error:`` line, and writes no NaN or infinity.  A
-``qvac sample`` config with one field out of its range exits 2.
+``qvac sample`` config with one field out of its range exits 2, and so
+does a ``qvac qpot`` density file with one such cell in any column.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import re
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -205,3 +207,44 @@ def test_sample_config_field_out_of_range_exits_two(field, data, sample_dir):
     assert out == "" and "Traceback" not in err and "Warning" not in err, (literals, err)
     assert err.startswith("error: ") and err.count("\n") == 1, (literals, err)
     assert not report.exists()
+
+
+#: Density-file header -> its lattice shape.  Coordinates start at 1.0, so a
+#: 0, a subnormal, a huge value or a sign flip in any coordinate cell breaks
+#: the lattice.
+DENSITY_LAYOUTS = {"q,n": (8,), "t,q,n": (3, 8), "qx,qy,qz,n": (4, 4, 4)}
+
+#: Cell values that no evaluated grid point takes: not finite, subnormal,
+#: huge (every other density then falls below the singular threshold) or
+#: negative.
+CELL_EDGES = ("nan", "inf", "-inf", "5e-324", "1e-310", "1e308", "-1.0")
+
+
+@pytest.fixture(scope="module")
+def density_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("density")
+
+
+@pytest.mark.parametrize("header, column", [(h, c) for h in DENSITY_LAYOUTS for c in h.split(",")])
+@FUZZ
+@given(data=st.data())
+def test_bad_density_cell_exits_two(header, column, data, density_dir):
+    shape = DENSITY_LAYOUTS[header]
+    column = header.split(",").index(column)
+    cells = [[repr(1.0 + 0.125 * i) for i in index] + [repr(1.0 + 0.1 * (sum(index) % 3))]
+             for index in np.ndindex(*shape)]
+    # A row the stencil evaluates, periodic or not: a tiny density elsewhere
+    # is only a neighbour, and a valid input.
+    evaluated = [row for row, index in enumerate(np.ndindex(*shape))
+                 if all(0 < i < n - 1 for i, n in zip(index, shape))]
+    row = data.draw(st.sampled_from(evaluated), label="row")
+    cells[row][column] = data.draw(st.sampled_from(CELL_EDGES), label="value")
+    path = density_dir / "density.csv"
+    path.write_text(header + "\n" + "".join(",".join(line) + "\n" for line in cells))
+    argv = ["qpot", str(path), "--mass", "1e-30"]
+    argv += data.draw(st.sampled_from([[], ["--periodic"]]), label="periodic")
+    argv += ["--format", data.draw(st.sampled_from(["csv", "json"]), label="format")]
+    code, out, err = _run(argv)
+    assert code == 2, (cells[row], err)
+    assert out == "" and "Traceback" not in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
