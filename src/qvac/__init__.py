@@ -1,6 +1,6 @@
 """Thermal vacuum-fluctuation statistics from the quantum potential.
 
-The package covers five tightly linked pieces of machinery:
+The package covers six tightly linked pieces of machinery:
 
 * ``constants``   -- CODATA constants, SI/natural unit conversion, and the
   dimensionless groups every formula is computed in;

@@ -74,7 +74,7 @@ def _square(x, name: str):
     with np.errstate(over="ignore"):
         square = x * x
     if not _all(square < math.inf):
-        raise DomainError(f"{name}^2 overflows the double range at these inputs")
+        raise DomainError(f"{name}^2 leaves the double range at these inputs")
     return square
 
 

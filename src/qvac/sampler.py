@@ -25,10 +25,10 @@ handed to callers are fresh arrays, so a caller may keep them.
 
 Each block's work runs as two contiguous row ranges, the first
 ``(rows + 1) // 2`` rows and the rest (a block of one row is one range).
-Where the process may run on two or more CPUs, a call starts one helper
-thread that takes the second range while the caller takes the first;
-numpy releases the interpreter lock in all of that work.  With one
-worker the caller runs both ranges in turn.  A block takes two steps:
+Where the process may run on two or more CPUs, each call's one-worker
+``ThreadPoolExecutor`` runs the second range while the caller runs the
+first; numpy releases the interpreter lock in all of that work.  With
+one worker the caller runs both ranges in turn.  A block takes two steps:
 
 1. each range draws its normals, forms the mode coefficients, inverse
    transforms and checks its rows, takes their ``|rfft|^2`` while they
@@ -54,9 +54,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -280,57 +278,39 @@ def _row_workers() -> int:
 
 
 class _RowSplit:
-    """The parallel steps of one call.  Each step runs as two parts: the
-    caller takes the first and one helper thread, started at the first
-    step and kept for the whole call, the second.  The step returns once
-    both are done.  An exception raised in the helper's part is raised on
-    the caller; one raised in the caller's part takes precedence.  With
-    one worker (``_row_workers()``, read once per call) both parts run on
-    the caller, in order, and no thread is started.
-
-    Use it as a context manager: leaving the ``with`` block joins the
-    helper.  One call's steps run one at a time, from the thread that
-    entered the block."""
+    """The parallel steps of one call, each run as two parts: the caller
+    takes the first and the helper, the one worker of the call's thread
+    pool, the second.  An exception raised in the helper's part is raised
+    on the caller; one raised in the caller's part takes precedence.  With
+    one worker (``_row_workers()``, read once per call) no pool is made and
+    the caller runs both parts in turn.  Leaving the ``with`` block joins
+    the helper.  Steps run one at a time, from the thread that entered it."""
 
     def __init__(self):
-        self.parallel = _row_workers() == 2
-        self.thread: threading.Thread | None = None
-        # The helper takes its parts from ``tasks`` (None stops it) and puts
-        # ``(result, None)`` or ``(None, exception)`` for each on ``done``.
-        self.tasks = queue.SimpleQueue()
-        self.done = queue.SimpleQueue()
+        self.pool = None
+        if _row_workers() == 2:
+            # Imported here: concurrent.futures loads logging, ~5 ms on a cold start.
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qvac-rows")
 
     def __enter__(self) -> _RowSplit:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self.thread is not None:
-            self.tasks.put(None)
-            self.thread.join()
-
-    def _serve(self) -> None:
-        while (task := self.tasks.get()) is not None:
-            try:
-                self.done.put((task(), None))
-            except BaseException as exc:  # re-raised on the caller by pair()
-                self.done.put((None, exc))
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def pair(self, fn: Callable[..., object], first: tuple, second: tuple) -> tuple[object, object]:
         """``(fn(*first), fn(*second))``, the second on the helper."""
-        if not self.parallel:
+        if self.pool is None:
             return fn(*first), fn(*second)
-        if self.thread is None:
-            thread = threading.Thread(target=self._serve, name="qvac-rows")
-            thread.start()
-            self.thread = thread
-        self.tasks.put(lambda: fn(*second))
+        helper = self.pool.submit(fn, *second)
         try:
             result = fn(*first)
         finally:
-            helper_result, error = self.done.get()
-        if error is not None:
-            raise error
-        return result, helper_result
+            helper.exception()  # waits, raising nothing: the caller's exception wins
+        return result, helper.result()
 
     def over_rows(self, rows: int, fn: Callable[[int, int], object]) -> tuple:
         """The results of ``fn(lo, hi)`` over the rows 0 .. rows - 1 of a

@@ -709,8 +709,8 @@ class TestSpectrumInputGuards:
         (("photon-spectrum", "--temp", "inf"), "temp"),
         (("photon-spectrum", "--omega-max", "inf"), "omega"),
         (("photon-spectrum", "--omega-min", "nan"), "omega"),
-        (("photon-spectrum", "--omega-max", "1e200"), "overflows"),  # omega**2 leaves the double range
-        (("photon-spectrum", "--omega-max", "1.7976931348623157e308"), "overflows"),  # np.geomspace overflows
+        (("photon-spectrum", "--omega-max", "1e200"), "omega^2 leaves"),  # omega**2 leaves the double range
+        (("photon-spectrum", "--omega-max", "1.7976931348623157e308"), "omega^2 leaves"),  # np.geomspace overflows
         (("spectrum", "--mass", "1e-5", "--gamma", "1e300"), "mode energy"),  # m*gamma*c^2 overflows to inf
     ])
     def test_exits_two_without_output(self, capsys, argv, named):

@@ -522,9 +522,9 @@ class TestArrayEvaluation:
             photon_mean_energy(1e14, math.inf)
 
     def test_overflowing_power_is_a_domain_error(self):
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match="leaves the double range"):
             planck_spectral_density(np.array([1e14, 1e200]), 300.0)
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match="leaves the double range"):
             planck_spectral_density(1e200, 300.0)
-        with pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match="leaves the double range"):
             mode_density(np.array([1.0, 1e160]))

@@ -589,6 +589,46 @@ class TestRowSplit:
         assert threading.active_count() == threads
         assert sorted(done) == [(0, 1), (1, 2), (2, 4)]
 
+    def test_caller_exception_wins_when_both_parts_raise(self, monkeypatch, capsys):
+        monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
+        helper_ran = []
+
+        def ranges(lo, hi):
+            if lo == 0:
+                raise ValueError("caller")
+            time.sleep(0.05)  # still running when the caller's part fails
+            helper_ran.append(threading.current_thread())
+            raise KeyError("helper")
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="caller"):
+            with _RowSplit() as split:
+                split.over_rows(4, ranges)
+        assert len(helper_ran) == 1 and helper_ran[0] is not threading.current_thread()
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == ""
+
+    def test_helper_base_exception_reaches_the_caller(self, monkeypatch, capsys):
+        # Not an Exception: a helper that caught only those would die with it
+        # and leave the step waiting or the error on threading.excepthook.
+        class Stop(BaseException):
+            pass
+
+        def ranges(lo, hi):
+            if lo != 0:
+                raise Stop("helper")
+            return lo, hi
+
+        monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
+        threads = threading.active_count()
+        with _RowSplit() as split:
+            with pytest.raises(Stop, match="helper"):
+                split.over_rows(2, ranges)
+            # The helper still takes the next step's second part.
+            assert split.over_rows(2, lambda lo, hi: (lo, hi)) == ((0, 1), (1, 2))
+        assert threading.active_count() == threads
+        assert capsys.readouterr().err == ""
+
 
 class TestPairwiseSplit:
     """The bit-for-bit identities the parallel estimators rest on."""
