@@ -11,6 +11,9 @@ blocks of RENDER_ROWS, so the rendered text never outgrows one block.
 Warnings go to stderr, never into the data stream.
 
 Exit codes: 0 success, 1 usage error, 2 domain/config error.
+
+Start-up loads only argparse and the unit and error modules; numpy and a
+subcommand's own modules load when that subcommand runs.
 """
 
 from __future__ import annotations
@@ -24,14 +27,6 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from . import blackhole as bh
-from . import correlation as corr
-from . import modestats as ms
-from . import qpotential as qp
-from . import render
-from . import sampler as smp
 from .constants import CONSTANTS, ThermalState, UnitSystem, compton_wavenumber
 from .errors import (
     ConfigError,
@@ -113,6 +108,10 @@ def _emit_table(args, command, meta, columns: dict, footer=None, axes: dict | No
     object, or CSV ``# name = value`` lines after the rows.  CSV rows are
     rendered and written RENDER_ROWS at a time.
     """
+    import numpy as np
+
+    from . import render
+
     axes = axes or {}
     arrays, grid = list(columns.values()), tuple(axes.values())
     if args.format == "json":
@@ -134,6 +133,8 @@ def _emit_table(args, command, meta, columns: dict, footer=None, axes: dict | No
 
 def _check_finite(values: dict) -> None:
     """A DomainError naming the first entry of ``values`` (floats or arrays) that holds a non-finite value."""
+    import numpy as np
+
     for name, value in values.items():
         if not np.all(np.isfinite(value)):
             raise DomainError(f"{name} leaves the double range at these inputs")
@@ -147,6 +148,10 @@ def _warn(message: str) -> None:
 # spectrum
 
 def _cmd_spectrum(args) -> int:
+    import numpy as np
+
+    from . import modestats as ms
+
     units = UnitSystem.parse(args.units)
     mass = units.to_si(args.mass, "mass")
     temp = units.to_si(args.temp, "temperature")
@@ -192,6 +197,10 @@ def _cmd_spectrum(args) -> int:
 # photon-spectrum
 
 def _cmd_photon_spectrum(args) -> int:
+    import numpy as np
+
+    from . import modestats as ms
+
     units = UnitSystem.parse(args.units)
     temp = positive("temp", units.to_si(args.temp, "temperature"))
     if args.points < 1:
@@ -228,6 +237,10 @@ def _cmd_photon_spectrum(args) -> int:
 # correlation
 
 def _cmd_correlation(args) -> int:
+    import numpy as np
+
+    from . import correlation as corr
+
     units = UnitSystem.parse(args.units)
     mass = units.to_si(args.mass, "mass")
     temp = units.to_si(args.temp, "temperature")
@@ -263,10 +276,14 @@ def _cmd_correlation(args) -> int:
 # sample
 
 def _cmd_sample(args) -> int:
+    from . import sampler as smp
+
     config = smp.load_config(args.config)
     if args.no_field:
         report = smp.sample_report(config)
     else:
+        from . import render
+
         # The realizations CSV is written block by block as the estimators consume them.
         comments = [f"{key} = {value}" for key, value in config.as_dict().items()]
         with open(args.field_out, "wb") as fh:
@@ -289,6 +306,10 @@ def _cmd_sample(args) -> int:
 # qpot
 
 def _cmd_qpot(args) -> int:
+    import numpy as np
+
+    from . import qpotential as qp
+
     units = UnitSystem.parse(args.units)
     mass = units.to_si(args.mass, "mass")
     parsed = qp.read_density_csv(args.density)
@@ -329,6 +350,8 @@ def _cmd_qpot(args) -> int:
 # blackhole
 
 def _cmd_blackhole(args) -> int:
+    from . import blackhole as bh
+
     units = UnitSystem.parse(args.units)
     if args.threshold == (args.mass is not None):
         raise DomainError("give exactly one of: a mass in Planck-mass units, or --threshold")

@@ -4,11 +4,16 @@ fixtures stay in ``conftest.py``)."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+import qvac
 from qvac import CONSTANTS, GridDensity, UnitMode, UnitSystem
 
 NATURAL = UnitSystem(UnitMode.NATURAL)
@@ -85,3 +90,16 @@ def dispatch_levels() -> list[str]:
 
     offered = [name for name in _multiarray_umath.__cpu_dispatch__ if _multiarray_umath.__cpu_features__.get(name)]
     return [" ".join(offered[i:]) for i in range(len(offered), -1, -1)]
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The ``sys.modules`` keys after ``code`` ran in a fresh interpreter
+    that imports qvac from this checkout's sources.  A child that fails
+    (an ``assert`` in ``code`` included) fails the calling test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qvac.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.splitlines()[-1].split())

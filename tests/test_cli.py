@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qvac
 from qvac import (
     CONSTANTS,
     ELECTRON_MASS,
@@ -24,7 +25,7 @@ from qvac import sampler as smp
 from qvac.cli import RENDER_ROWS, main
 from qvac.sampler import block_rows
 
-from helpers import traced_peak
+from helpers import loaded_modules, traced_peak
 
 KB = CONSTANTS.k_boltzmann
 HBAR = CONSTANTS.hbar
@@ -782,3 +783,127 @@ class TestBlackhole:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["mass"]["m_p"] == pytest.approx(2.0)
+
+
+#: One tiny run of each subcommand: its argv, where ``{dir}`` is a directory
+#: that holds ``density.csv`` and ``config.json`` and receives the output
+#: ``out``; the modules the run must load; and those it must leave unloaded.
+SUBCOMMAND_RUNS = {
+    "spectrum": (
+        ["spectrum", "--mass", repr(ELECTRON_MASS), "--temp", "300", "--points", "8", "--output", "{dir}/out"],
+        {"numpy", "qvac.modestats"}, {"qvac.qpotential", "qvac.sampler"},
+    ),
+    "photon-spectrum": (
+        ["photon-spectrum", "--temp", "300", "--points", "8", "--output", "{dir}/out"],
+        {"numpy", "qvac.modestats"}, {"qvac.qpotential", "qvac.sampler"},
+    ),
+    "correlation": (
+        ["correlation", "--mass", repr(ELECTRON_MASS), "--temp", "300", "--points", "8", "--output", "{dir}/out"],
+        {"numpy", "qvac.correlation"}, {"qvac.modestats", "qvac.qpotential", "qvac.sampler"},
+    ),
+    "qpot": (
+        ["qpot", "{dir}/density.csv", "--mass", "1", "--units", "Natural", "--output", "{dir}/out"],
+        {"numpy", "qvac.qpotential"}, {"qvac.modestats", "qvac.sampler"},
+    ),
+    "sample": (
+        ["sample", "{dir}/config.json", "--no-field", "--report-out", "{dir}/out"],
+        {"numpy", "qvac.sampler"}, {"qvac.modestats", "qvac.qpotential", "qvac.render"},
+    ),
+    "blackhole": (
+        ["blackhole", "2.0", "--output", "{dir}/out"],
+        {"qvac.blackhole"}, {"numpy"},
+    ),
+    "blackhole-threshold": (
+        ["blackhole", "--threshold", "--output", "{dir}/out"],
+        {"qvac.blackhole"}, {"numpy"},
+    ),
+}
+
+
+class TestStartup:
+    """Start-up loads the parser and the unit and error modules; each
+    subcommand loads numpy and its own modules when it runs.  Each case
+    runs in a fresh interpreter."""
+
+    def test_parser_loads_only_the_start_up_modules(self):
+        loaded = loaded_modules("import qvac.cli\nqvac.cli.build_parser()")
+        assert {name for name in loaded if name.split(".")[0] == "qvac"} == {
+            "qvac", "qvac.cli", "qvac.constants", "qvac.errors"}
+        assert "numpy" not in loaded
+        assert "concurrent.futures" not in loaded
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["spectrum"], 1)], ids=["help", "usage-error"])
+    def test_commands_that_compute_nothing_load_no_numpy(self, argv, code):
+        loaded = loaded_modules(f"import qvac.cli\nassert qvac.cli.main({argv!r}) == {code}")
+        assert "numpy" not in loaded
+
+    @pytest.mark.parametrize("run", SUBCOMMAND_RUNS)
+    def test_subcommand_loads_its_own_modules(self, tmp_path, run):
+        argv, loads, skips = SUBCOMMAND_RUNS[run]
+        assert main(self._inputs(tmp_path / "in-process", argv)) == 0
+        child_argv = self._inputs(tmp_path / "child", argv)
+        loaded = loaded_modules(f"import qvac.cli\nassert qvac.cli.main({child_argv!r}) == 0")
+        assert loads <= loaded, loads - loaded
+        assert not skips & loaded, skips & loaded
+        assert (tmp_path / "child" / "out").read_bytes() == (tmp_path / "in-process" / "out").read_bytes()
+
+    @staticmethod
+    def _inputs(directory, argv):
+        """``argv`` for a run in ``directory``, which this creates and fills with the inputs."""
+        directory.mkdir()
+        (directory / "density.csv").write_text(
+            "q,n\n" + "".join(f"{0.125 * i!r},{1.5 + math.cos(i)!r}\n" for i in range(16)))
+        (directory / "config.json").write_text(json.dumps(
+            {"lambda_c": 1e-9, "grid_points": 256, "extent": 24e-9, "seed": 9, "realizations": 4}))
+        return [arg.replace("{dir}", str(directory)) for arg in argv]
+
+
+#: ``qvac.__all__``: every public name of the package, its submodules included.
+PACKAGE_NAMES = [
+    "BlackHoleReport", "CONSTANTS", "ConfigError", "CorrelationFunction", "DomainError", "ELECTRON_MASS",
+    "GaussianityReport", "GridDensity", "ImaginaryEnergy", "InsufficientTail", "ModeSpectrum", "NoiseField",
+    "ParsedDensity", "PhysicalConstants", "SamplerConfig", "SingularDensity", "SpectralPoint",
+    "THRESHOLD_PLANCK_UNITS", "ThermalState", "ThresholdMass", "TravelingMode", "UnitMode", "UnitSystem",
+    "WrongBranch", "analytic_correlation", "bh_vqu_geometric", "bh_vqu_printed", "binding_energy",
+    "black_hole_report", "blackhole", "build_sample_report", "compton_wavenumber", "constants", "correlation",
+    "correlation_from_spectrum", "correlation_length", "dimensionless_groups", "e_folding_lag",
+    "empirical_correlation", "errors", "gaussian_mode_spectrum", "gaussian_spectrum", "gaussianity_check",
+    "gravitational_energy", "gravitational_radius", "is_stable", "load_config", "mean_energy",
+    "mean_periodogram", "mean_qp_energy", "mean_qp_energy_dalembert", "mode_density", "mode_energy_massive",
+    "mode_probability_nonrel", "mode_probability_rel", "modestats", "n_particle_weight", "numerics",
+    "photon_mean_energy", "photon_spectrum", "planck_spectral_density", "qpotential", "read_density_csv",
+    "report_json_bytes", "sample_field", "sample_report", "sampler", "spectral_density_massive",
+    "stability_threshold", "vqu_grid_dalembert", "vqu_grid_nonrel", "vqu_sinusoid", "vqu_traveling",
+    "wien_peak",
+]
+
+
+class TestPackageSurface:
+    """``import qvac`` defers its submodules but offers the same names."""
+
+    def test_all_lists_every_public_name(self):
+        assert sorted(qvac.__all__) == PACKAGE_NAMES
+
+    def test_every_name_resolves_and_is_listed(self):
+        listed = dir(qvac)
+        for name in PACKAGE_NAMES:
+            getattr(qvac, name)
+            assert name in listed, name
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from qvac import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(PACKAGE_NAMES)
+
+    def test_constants_stays_the_function_after_every_submodule_loads(self):
+        loaded = loaded_modules(
+            "import importlib, pkgutil, qvac\n"
+            "for info in pkgutil.iter_modules(qvac.__path__):\n"
+            "    importlib.import_module(f'qvac.{info.name}')\n"
+            "assert isinstance(qvac.constants(), qvac.PhysicalConstants), qvac.constants"
+        )
+        assert {"qvac.cli", "qvac.constants", "qvac.render", "qvac.sampler"} <= loaded
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="'no_such_name'"):
+            qvac.no_such_name
