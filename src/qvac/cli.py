@@ -321,10 +321,8 @@ def _cmd_qpot(args) -> int:
         if density.time_axis:
             if args.dt is not None:
                 dt = units.to_si(args.dt, "time")
-            elif parsed.dt is not None:
-                dt = parsed.dt * units.to_si(1.0, "time")
             else:
-                raise DomainError("time-dependent density requires --dt")
+                dt = parsed.dt * units.to_si(1.0, "time")
             vqu = qp.vqu_grid_dalembert(density, mass, dt)
             mean = qp.mean_qp_energy_dalembert(density, mass, dt)
             names = ("t", "q")

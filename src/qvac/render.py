@@ -52,10 +52,6 @@ _E_LO, _E_HI = -325, 309
 #: 2^-+_SHIFT before the product, their table entries by 2^+-_SHIFT.
 _E_SAFE, _SHIFT = 280, 512
 
-#: Bits of each power of ten before its split into hi + lo: enough that
-#: rounding the remainder to 53 bits is still correct.
-_POWER_BITS = 121
-
 #: Veltkamp's splitter: x * _SPLITTER splits x into two 26-bit halves.
 _SPLITTER = 2.0**27 + 1.0
 
@@ -79,28 +75,16 @@ _PRESCALE = np.array([2.0**_SHIFT if e < -_E_SAFE else 2.0**-_SHIFT if e > _E_SA
 
 def _power_table() -> np.ndarray:
     """Rows hi, hi's head and tail, lo for E from _E_LO to _E_HI, where
-    hi + lo is 10^(16-E) / _PRESCALE[E - _E_LO].  Each power is truncated
-    to _POWER_BITS + 1 bits with its last bit set when anything was cut
-    (rounding to odd), so float() of it and of its remainder both round as
-    the exact value would: hi is correctly rounded, and so is lo."""
-    heads, tails, shifts = [], [], []
-    power = 10 ** (_E_HI - 16)
-    for k in range(16 - _E_HI, 16 - _E_LO + 1):
-        if k < 0:
-            s = _POWER_BITS + power.bit_length()
-            q, r = divmod(1 << s, power)
-            power //= 10
-        else:
-            s = _POWER_BITS - power.bit_length()
-            q, r = (power << s, 0) if s >= 0 else (power >> -s, power & ((1 << -s) - 1))
-            power *= 10
-        q = q << 1 | (r != 0)
-        head = float(q)
-        heads.append(head)
-        tails.append(float(q - int(head)))
-        shifts.append(-s - 1)
-    shift = np.array(shifts[::-1]) - np.log2(_PRESCALE).astype(int)
-    hi, lo = np.ldexp(heads[::-1], shift), np.ldexp(tails[::-1], shift)
+    hi + lo is 10^(16-E) / _PRESCALE[E - _E_LO]: hi is that ratio of
+    integers and lo the exact remainder, each divided correctly rounded."""
+    rows = []
+    for e, prescale in zip(range(_E_LO, _E_HI + 1), _PRESCALE):
+        p, q = prescale.as_integer_ratio()
+        num, den = 10 ** max(16 - e, 0) * q, 10 ** max(e - 16, 0) * p
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        rows.append((hi, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(rows).T
     return np.stack([hi, *_split(hi), lo], axis=1)
 
 

@@ -24,24 +24,22 @@ is written into one workspace allocated per call; only the field blocks
 handed to callers are fresh arrays, so a caller may keep them.
 
 Each block's work runs as two contiguous row ranges, the first
-``(rows + 1) // 2`` rows and the rest (a block of one row is one range).
-Where the process may run on two or more CPUs, each call's one-worker
-``ThreadPoolExecutor`` runs the second range while the caller runs the
-first; numpy releases the interpreter lock in all of that work.  With
-one worker the caller runs both ranges in turn.  A block takes two steps:
+``(rows + 1) // 2`` rows and the rest (a block of one row is one range),
+in one step.  Where the process may run on two or more CPUs, each call's
+one-worker ``ThreadPoolExecutor`` runs the second range while the caller
+runs the first; numpy releases the interpreter lock in all of that work.
+With one worker the caller runs both ranges in turn.  Each range draws
+its normals, forms the mode coefficients, inverse transforms and checks
+its rows, takes their ``|rfft|^2`` while they are still in cache, and
+returns its partial moments: its sample count, mean and centered power
+sums about that mean.
 
-1. each range draws its normals, forms the mode coefficients, inverse
-   transforms and checks its rows, takes their ``|rfft|^2`` while they
-   are still in cache, and sums its samples;
-2. each range sums the centered powers of its samples about the block
-   mean.
-
-A block's sums are defined over these ranges: the sum of the first
-range's samples plus the sum of the second's.  So the bits do not depend
-on the number of workers.  Every row is keyed by its own realization
-index and transformed on its own, and each range writes only its own
-rows of the workspace.  The periodogram sum and the merge of the moments
-across blocks (Chan et al., Pebay) run on the caller, in index order.
+The bits do not depend on the number of workers: every row is keyed by
+its own realization index and transformed on its own, each range writes
+only its own rows of the workspace, and the partial moments belong to
+the row split.  The periodogram sum and the merge of each range's
+partial moments into the running ones (Chan et al., Pebay) run on the
+caller, in row order.
 
 The gaussianity thresholds count effective samples: field samples are
 correlated over about lambda_c / spacing neighbours, and the correlation
@@ -237,11 +235,6 @@ class _Workspace:
         self.power = np.empty((rows + 1, modes))
         self.finite = np.empty((rows, grid_points), dtype=bool)
 
-    def moment_scratch(self, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two float buffers of ``size`` <= rows * grid_points values over the
-        normals and the modes, both dead once a block is transformed."""
-        return self.normals.reshape(-1)[:size], self.modes.view(float).reshape(-1)[:size]
-
 
 def _mode_coefficients(z: np.ndarray, part_weights: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Complex Gaussian rfft coefficients with E|c_m|^2 = weights[m], one
@@ -326,11 +319,6 @@ def _sum(x: np.ndarray) -> float:
     return float(np.add.reduce(x))
 
 
-def _over_ranges(results: tuple) -> float:
-    """A block's sum from the sums of its one or two row ranges."""
-    return results[0] + results[1] if len(results) == 2 else results[0]
-
-
 def _centered_sums(x: np.ndarray, mean: float, c: np.ndarray, c2: np.ndarray) -> tuple[float, float, float]:
     """Sums of (x - mean)^2, ^3 and ^4, with ``c`` and ``c2`` (the size
     of ``x``) as scratch."""
@@ -351,7 +339,10 @@ class _RowNormals:
     def __init__(self, seed: int):
         self.bitgen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
         self.rng = np.random.Generator(self.bitgen)
+        # Plain lists: numpy's state setter reads them element by element.
         self.state = self.bitgen.state
+        self.state["state"] = {name: value.tolist() for name, value in self.state["state"].items()}
+        self.state["buffer"] = self.state["buffer"].tolist()
 
     def draw(self, first: int, z: np.ndarray) -> None:
         """Realizations first, first + 1, ... into the rows of ``z``."""
@@ -424,7 +415,8 @@ class _Accumulator:
     block: the periodogram sum, added one realization at a time (so it is
     bit-identical to summing a stored field's periodograms over axis 0),
     and the sample count, mean and centered power sums of all samples,
-    merged across blocks with the pairwise formulas of Chan et al. and
+    into which each row range's own count, mean and centered sums are
+    merged in row order with the pairwise formulas of Chan et al. and
     Pebay (SAND2008-6212)."""
 
     def __init__(self, work: _Workspace):
@@ -435,38 +427,38 @@ class _Accumulator:
         self.mean = 0.0
         self.m2 = self.m3 = self.m4 = 0.0
 
-    def spectra(self, block: np.ndarray, lo: int, hi: int) -> float:
+    def spectra(self, block: np.ndarray, lo: int, hi: int) -> tuple[int, float, float, float, float]:
         """``|rfft|^2`` of the block's rows lo .. hi - 1 into the workspace,
-        and the sum of their samples; every row range of a block must have
-        its spectra before ``add``."""
+        and the partial moments of their samples: their count, mean and
+        sums of centered powers about that mean.  The range's rows of the
+        normals and of the modes, dead once its spectra are taken, are the
+        scratch.  Every row range of a block must have its spectra before
+        ``add``."""
         work = self.work
         spectrum = np.fft.rfft(block[lo:hi], axis=1, out=work.modes[lo:hi])
         powers = np.abs(spectrum, out=work.power[1 + lo : 1 + hi])
         np.square(powers, out=powers)
-        return _sum(block[lo:hi].ravel())
+        x = block[lo:hi].ravel()
+        n = x.size
+        mean = _sum(x) / n
+        c = work.normals[lo:hi].reshape(-1)[:n]
+        c2 = work.modes[lo:hi].view(float).reshape(-1)[:n]
+        return (n, mean, *_centered_sums(x, mean, c, c2))
 
-    def add(self, block: np.ndarray, sums: tuple, split: _RowSplit) -> None:
-        """Fold in a block whose row ranges have their spectra and sample
-        sums ``sums`` (the results of ``spectra``)."""
+    def add(self, block: np.ndarray, partials: tuple) -> None:
+        """Fold in a block whose row ranges have their spectra and partial
+        moments ``partials`` (the results of ``spectra``, in row order)."""
         rows = block.shape[0]
-        work = self.work
         # The running sum above the block's rows: an axis-0 reduce adds them
         # to each column in index order, the additions of a row-by-row loop.
-        power = work.power[: rows + 1]
+        power = self.work.power[: rows + 1]
         power[0] = self.power_sum
         np.add.reduce(power, axis=0, out=self.power_sum)
         self.rows += rows
-        x = block.ravel()
-        nb = x.size
-        mean_b = _over_ranges(sums) / nb
-        c, c2 = work.moment_scratch(nb)
-        width = block.shape[1]
+        for partial in partials:
+            self._merge(*partial)
 
-        def centered(lo: int, hi: int) -> tuple[float, float, float]:
-            part = slice(lo * width, hi * width)
-            return _centered_sums(x[part], mean_b, c[part], c2[part])
-
-        m2_b, m3_b, m4_b = map(_over_ranges, zip(*split.over_rows(rows, centered)))
+    def _merge(self, nb: int, mean_b: float, m2_b: float, m3_b: float, m4_b: float) -> None:
         na = self.count
         n = na + nb
         delta = mean_b - self.mean
@@ -495,8 +487,7 @@ def _accumulate(field: NoiseField) -> _Accumulator:
     with _RowSplit() as split:
         for start in range(0, m, rows):
             block = field.values[start : start + rows]
-            sums = split.over_rows(block.shape[0], lambda lo, hi: acc.spectra(block, lo, hi))
-            acc.add(block, sums, split)
+            acc.add(block, split.over_rows(block.shape[0], lambda lo, hi: acc.spectra(block, lo, hi)))
     return acc
 
 
@@ -667,10 +658,10 @@ def sample_report(config: SamplerConfig, on_block: Callable[[np.ndarray], object
     work = _Workspace(config.grid_points, config.realizations)
     acc = _Accumulator(work)
     with _RowSplit() as split:
-        for block, sums in _field_blocks(config, work, split, then=acc.spectra):
+        for block, partials in _field_blocks(config, work, split, then=acc.spectra):
             if on_block is not None:
                 on_block(block)
-            acc.add(block, sums, split)
+            acc.add(block, partials)
     return _report(config, acc)
 
 

@@ -104,6 +104,33 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: {argv[0]}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("spectrum", "--mass", "1", "--temp", "0.1", "--units", "Natural", "--points", "0"), "points must be >= 1"),
+        (("photon-spectrum", "--temp", "300", "--points", "0"), "points must be >= 1"),
+        (("correlation", "--mass", repr(ELECTRON_MASS), "--temp", "300", "--points", "1"), "points must be >= 2"),
+    ], ids=["spectrum", "photon-spectrum", "correlation"])
+    def test_too_few_points_exit_two(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_config_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "sample", str(path), "--no-field", "--report-out", str(tmp_path / "r.json"))
+        assert (code, out, err) == (2, "", f"error: {path}: config must be a JSON object\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty density file"),
+        ("# a comment and no header\n", "empty density file"),
+        # an 8^3 lattice whose qy step is twice the qx and qz steps
+        ("qx,qy,qz,n\n" + "".join(f"{0.1 * i},{0.2 * j},{0.1 * k},1.0\n"
+                                  for i in range(8) for j in range(8) for k in range(8)),
+         "axes have unequal spacing; a single grid step is required"),
+    ], ids=["empty", "comment-only", "unequal-steps"])
+    def test_unusable_density_file_exits_two(self, tmp_path, capsys, text, message):
+        path = tmp_path / "density.csv"
+        path.write_text(text)
+        assert run_cli(capsys, "qpot", str(path), "--mass", "1") == (2, "", f"error: {path}: {message}\n")
+
 
 class TestParser:
     CALLS = [

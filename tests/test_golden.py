@@ -6,13 +6,22 @@ the spectrum formulas were rewritten array-first, so any change in a
 rendered byte (digits, row order, NaN filtering, unit conversion, the
 last bit of an exponential) fails here; ``sample_report.json`` holds the
 estimator report of ``sampler.json`` byte for byte.  To re-capture
-after a deliberate format change, run ``python tests/test_golden.py``
-from the repository root with ``src`` on the import path.
+after a deliberate output change, run
+
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+from the repository root: it re-runs the named cases (all of them when
+none is named; an unknown name is refused), rewrites only the golden files
+whose bytes differ and prints ``<case>: changed`` or ``<case>: unchanged``
+for each.
 """
 
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -84,10 +93,47 @@ def test_percent_format_matches_str_format(x):
     assert _fmt(x) == "{:.16e}".format(x)
 
 
-if __name__ == "__main__":
-    import tempfile
-
+def recapture(names: Sequence[str]) -> list[str]:
+    """Re-run the named cases (every case when none is named), overwrite
+    each golden file whose bytes differ and return one
+    ``<case>: changed|unchanged`` line per case."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise ValueError(f"unknown case(s) {', '.join(unknown)}; the cases are {', '.join(sorted(CASES))}")
+    lines = []
     with tempfile.TemporaryDirectory() as scratch:
-        for case in sorted(CASES):
-            if main(_argv(case, GOLDEN / case, Path(scratch))) != 0:
-                sys.exit(f"capture failed: {case}")
+        for case in names or sorted(CASES):
+            out = Path(scratch) / case
+            if main(_argv(case, out, Path(scratch))) != 0:
+                raise RuntimeError(f"capture failed: {case}")
+            new = out.read_bytes()
+            changed = new != (GOLDEN / case).read_bytes()
+            if changed:
+                (GOLDEN / case).write_bytes(new)
+            lines.append(f"{case}: {'changed' if changed else 'unchanged'}")
+    return lines
+
+
+def test_recapture_rewrites_only_the_named_cases_that_changed(tmp_path, monkeypatch):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    monkeypatch.setitem(globals(), "GOLDEN", golden)
+    (golden / "blackhole_report.txt").write_bytes(b"stale\n")
+    (golden / "photon_si.csv").write_bytes(b"stale\n")
+    assert recapture(["blackhole_report.txt", "blackhole_threshold.txt"]) == [
+        "blackhole_report.txt: changed",
+        "blackhole_threshold.txt: unchanged",
+    ]
+    assert (golden / "blackhole_report.txt").read_bytes() == (GOLDEN / "blackhole_report.txt").read_bytes()
+    assert (golden / "photon_si.csv").read_bytes() == b"stale\n"
+    with pytest.raises(ValueError, match="unknown case.*no_such_case"):
+        recapture(["blackhole_report.txt", "no_such_case"])
+    assert (golden / "photon_si.csv").read_bytes() == b"stale\n"
+
+
+if __name__ == "__main__":
+    try:
+        for line in recapture(sys.argv[1:]):
+            print(line)
+    except (ValueError, RuntimeError) as exc:
+        sys.exit(f"error: {exc}")

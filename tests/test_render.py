@@ -59,6 +59,27 @@ class TestScaleTable:
             assert abs(exact(hi) + exact(lo) - target) <= target * Fraction(2) ** -106, e
             assert exact(head) + exact(tail) == exact(hi), e
 
+    def test_hi_and_lo_are_the_nearest_doubles(self):
+        # hi is the double nearest the power, ties to even (10^23, at
+        # E = -7, is a tie), and lo the double nearest the remainder.
+        def assert_nearest(x: float, target: Fraction, e: int) -> None:
+            err = abs(exact(x) - target)
+            for neighbour in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+                other = abs(exact(neighbour) - target)
+                assert err < other or (err == other and exact(x) / exact(math.ulp(x)) % 2 == 0), e
+
+        ties = []
+        for e in range(render._E_LO, render._E_HI + 1):
+            i = e - render._E_LO
+            hi, head, tail, lo = render._POWERS[i].tolist()
+            target = Fraction(10) ** (16 - e) / exact(float(render._PRESCALE[i]))
+            assert_nearest(hi, target, e)
+            assert_nearest(lo, target - exact(hi), e)
+            assert exact(head) + exact(tail) == exact(hi), e
+            if abs(target - exact(hi)) == Fraction(math.ulp(hi)) / 2:
+                ties.append(e)
+        assert -7 in ties
+
     def test_scaled_values_stay_within_the_band(self):
         x = np.abs(random_bit_patterns(4000, seed=11))
         x = x[(x > 0) & (x < np.inf)]

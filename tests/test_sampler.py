@@ -286,6 +286,29 @@ def heavy_tailed(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_t(2, size=shape) * 2.0 ** rng.integers(0, 20, size=shape)
 
 
+def merged_moments(partials) -> list[float]:
+    """Mean and centered power sums of the samples of consecutive parts,
+    from each part's (count, mean, sum c^2, sum c^3, sum c^4) merged in
+    order with the pairwise formulas of Chan et al. and Pebay."""
+    na, mean, m2, m3, m4 = 0, 0.0, 0.0, 0.0, 0.0
+    for nb, mean_b, m2_b, m3_b, m4_b in partials:
+        n = na + nb
+        delta = mean_b - mean
+        d_n = delta / n
+        cross = delta * d_n * na * nb
+        m4 += (
+            m4_b
+            + cross * d_n * d_n * (na * na - na * nb + nb * nb)
+            + 6.0 * d_n * d_n * (na * na * m2_b + nb * nb * m2)
+            + 4.0 * d_n * (na * m3_b - nb * m3)
+        )
+        m3 += m3_b + cross * d_n * (na - nb) + 3.0 * d_n * (na * m2_b - nb * m2)
+        m2 += m2_b + cross
+        mean += delta * (nb / n)
+        na = n
+    return [mean, m2, m3, m4]
+
+
 def longdouble_moments(values: np.ndarray) -> tuple[float, float]:
     """Two-pass skewness and excess kurtosis in extended precision."""
     x = values.ravel().astype(np.longdouble)
@@ -468,8 +491,8 @@ class TestRowSplit:
         assert ranges(1) == [(0, 1, caller)]
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_two_steps_per_block(self, monkeypatch, workers):
-        # The block's rows with their sample sums, then its centered sums.
+    def test_one_step_per_block(self, monkeypatch, workers):
+        # The block's rows with their spectra and partial moments.
         cfg = make_config(**README_BLOCKS)
         pair = _RowSplit.pair
         calls = []
@@ -478,10 +501,15 @@ class TestRowSplit:
             calls.append(fn)
             return pair(self, fn, first, second)
 
-        monkeypatch.setattr(_RowSplit, "pair", counted)
         monkeypatch.setattr(sampler, "_row_workers", lambda: workers)
+        field = sample_field(cfg)
+        monkeypatch.setattr(_RowSplit, "pair", counted)
+        blocks = len(range(0, cfg.realizations, block_rows(cfg.grid_points)))
         sample_report(cfg)
-        assert len(calls) == 2 * len(range(0, cfg.realizations, block_rows(cfg.grid_points)))
+        assert len(calls) == blocks
+        calls.clear()
+        build_sample_report(cfg, field)
+        assert len(calls) == blocks
 
     def test_one_cpu_keeps_one_worker(self, monkeypatch):
         monkeypatch.setattr(sampler.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -653,28 +681,27 @@ class TestPairwiseSplit:
     @pytest.mark.parametrize("shape", [(block_rows(1024), 1024), (1, 100), (3, 1024), (5, 204), (2, 32)],
                              ids=["split-block", "one-row", "three-rows", "half-not-a-multiple-of-8", "small-block"])
     def test_block_moments_equal_the_unsplit_sums(self, monkeypatch, workers, shape):
-        # Each row range's samples are summed unsplit, the first
-        # (rows + 1) // 2 rows and the rest, and a block's sum is the first
-        # range's plus the second's, with one worker as with two.
+        # Each row range's samples, the first (rows + 1) // 2 rows and the
+        # rest, are summed unsplit about the range's own mean, and the
+        # ranges' partial moments are merged in row order, with one worker
+        # as with two.
         values = heavy_tailed(np.random.default_rng(13), shape)
         mid = (shape[0] + 1) // 2
-        ranges = [part.ravel() for part in (values[:mid], values[mid:]) if part.size]
-
-        def block_sum(f):
-            sums = [float(np.sum(f(x))) for x in ranges]
-            return sums[0] + sums[1] if len(sums) == 2 else sums[0]
-
-        mean = block_sum(lambda x: x) / values.size
-        powers = [lambda c: c * c, lambda c: (c * c) * c, lambda c: (c * c) * (c * c)]
-        expected = [block_sum(lambda x, power=power: power(x - mean)) for power in powers]
+        partials = []
+        for part in (values[:mid], values[mid:]):
+            if part.size:
+                x = part.ravel()
+                mean = float(np.sum(x)) / x.size
+                c = x - mean
+                partials.append((x.size, mean, *(float(np.sum(p)) for p in (c * c, (c * c) * c, (c * c) * (c * c)))))
+        expected = merged_moments(partials)
         monkeypatch.setattr(sampler, "_row_workers", lambda: workers)
         acc = sampler._accumulate(NoiseField(values=values, extent=40.0 * LC, lambda_c=LC, seed=0))
         got = [acc.mean, acc.m2, acc.m3, acc.m4]
-        assert [v.hex() for v in got] == [v.hex() for v in [mean, *expected]]
-        # numpy's sum of the whole block: the same bits where numpy splits
-        # the block at the row split (or does not split one row), other bits
-        # here for the other shapes.
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        # numpy's moments of the whole block: the same bits for one row (one
+        # range, nothing to merge), other bits here for the other shapes.
         x = values.ravel()
         c = x - float(x.mean())
         unsplit = [float(x.mean()), float(np.sum(c * c)), float(np.sum(c * c * c)), float(np.sum((c * c) * (c * c)))]
-        assert (got == unsplit) == (shape[0] == 1 or shape == (block_rows(1024), 1024))
+        assert (got == unsplit) == (shape[0] == 1)
