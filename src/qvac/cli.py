@@ -370,7 +370,7 @@ def _cmd_blackhole(args) -> int:
     try:
         report = bh.black_hole_report(args.mass * CONSTANTS.planck_mass)
     except DomainError:
-        # vqu_printed scales as mass**-3 and leaves the double range first
+        # vqu_printed (as mass**-3) or e_grav (as mass) leaves the double range
         raise DomainError(
             f"mass {args.mass!r} m_p is outside the range the report's energies can represent"
         ) from None

@@ -24,9 +24,12 @@ factor cancels exactly.
 
 The points V_qu is evaluated at are decided in one place, ``_region``:
 the interior time slices, and the interior of each spatial axis, or all
-of it when the grid is periodic.  The stencil, the singular-density
-check and the weighted means all work on that region; the public grid
-functions return it padded with NaN to the grid's shape.
+of it when the grid is periodic.  The stencil takes sqrt(n) once, wrapped
+by one point at both ends of each axis the region covers whole, so the
+region is the interior of every axis of that wrapped grid and each
+neighbour is a view of it.  The singular-density check and the weighted
+means work on the same region; the public grid functions return it
+padded with NaN to the grid's shape.
 """
 
 from __future__ import annotations
@@ -58,13 +61,12 @@ class GridDensity:
 
     ``values`` holds non-negative samples; with ``time_axis`` set, axis 0
     enumerates time slices and the remaining axes are spatial.  ``spacing``
-    is the common spatial grid step (m).  ``dims`` is the number of
-    spatial dimensions (1 or 3).
+    is the common spatial grid step (m).  ``dims``, the number of spatial
+    axes (1 or 3), is read from the array.
     """
 
     values: np.ndarray
     spacing: float
-    dims: int = 1
     periodic: bool = False
     time_axis: bool = False
 
@@ -72,25 +74,22 @@ class GridDensity:
         arr = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", arr)
         if self.dims not in (1, 3):
-            raise DomainError("dims must be 1 or 3")
-        expected_ndim = self.dims + (1 if self.time_axis else 0)
-        if arr.ndim != expected_ndim:
-            raise DomainError(
-                f"values must have {expected_ndim} axes for dims={self.dims}, "
-                f"time_axis={self.time_axis}; got {arr.ndim}"
-            )
+            raise DomainError(f"values must have 1 or 3 spatial axes (time_axis={self.time_axis}); got {self.dims}")
         positive("spacing", self.spacing)
         if not np.all(np.isfinite(arr)):
             raise DomainError("density samples must be finite")
         if np.any(arr < 0.0):
             raise DomainError("density samples must be >= 0")
-        spatial_shape = arr.shape[1:] if self.time_axis else arr.shape
-        if any(ns < MIN_SAMPLES for ns in spatial_shape):
+        if any(arr.shape[axis] < MIN_SAMPLES for axis in self.spatial_axes):
             raise DomainError(f"need at least {MIN_SAMPLES} samples per spatial axis")
 
     @property
+    def dims(self) -> int:
+        return self.values.ndim - self.time_axis
+
+    @property
     def spatial_axes(self) -> tuple[int, ...]:
-        return tuple(range(1, self.values.ndim)) if self.time_axis else tuple(range(self.values.ndim))
+        return tuple(range(self.time_axis, self.values.ndim))
 
 
 @dataclass(frozen=True)
@@ -149,23 +148,23 @@ def _region(density: GridDensity) -> tuple[slice, ...]:
     )
 
 
-def _second_difference(s: np.ndarray, region: tuple[slice, ...], axis: int, h: float, name: str) -> np.ndarray:
-    """Central second difference along ``axis`` at the points of ``region``.
-
-    ``np.roll`` wraps the neighbours of an axis the region covers whole
-    (periodic); on any other axis the region stops one point short of
-    either end, so no wrapped neighbour is read.  ``name`` names the step
-    ``h`` in the DomainError raised where h**2 leaves the double range, by
-    overflow or by an underflow below the smallest normal double, where
-    dividing by it would overflow.
+def _second_difference(s: np.ndarray, axis: int, h: float, name: str) -> np.ndarray:
+    """Central second difference along ``axis`` at the interior points of
+    every axis of ``s``, whose neighbours on each axis are views of ``s``.
+    ``name`` names the step ``h`` in the DomainError raised where h**2
+    leaves the double range, by overflow or by an underflow below the
+    smallest normal double, where dividing by it would overflow.
     """
     h2 = finite(f"{name}^2", lambda: h**2 if h**2 >= sys.float_info.min else math.inf)
-    return (np.roll(s, -1, axis)[region] - 2.0 * s[region] + np.roll(s, 1, axis)[region]) / h2
+    s = s[tuple(slice(None) if a == axis else slice(1, -1) for a in range(s.ndim))]
+    lead = (slice(None),) * axis
+    return (s[lead + (slice(2, None),)] - 2.0 * s[lead + (slice(1, -1),)] + s[lead + (slice(None, -2),)]) / h2
 
 
-def _vqu_region(density: GridDensity, coef: float, dt: float | None = None) -> np.ndarray:
-    """-coef * D(sqrt(n)) / sqrt(n) on ``_region(density)``, where D is the
-    Laplacian, or (1/c^2) d^2/dt^2 minus the Laplacian when ``dt`` is given.
+def _vqu_grid(density: GridDensity, coef: float, dt: float | None = None) -> np.ndarray:
+    """-coef * D(sqrt(n)) / sqrt(n) on ``_region(density)`` and NaN off it,
+    where D is the Laplacian, or (1/c^2) d^2/dt^2 minus the Laplacian when
+    ``dt`` is given.
 
     Raises SingularDensity, with the full-grid index, at the first region
     point whose density is zero or below ``SINGULAR_FRACTION`` of the grid
@@ -178,11 +177,15 @@ def _vqu_region(density: GridDensity, coef: float, dt: float | None = None) -> n
     if np.any(bad):
         first = np.argwhere(bad)[0]
         raise SingularDensity(tuple(int(i) + (r.start or 0) for i, r in zip(first, region)))
-    s = np.sqrt(density.values)
-    op = sum(_second_difference(s, region, axis, density.spacing, "spacing") for axis in density.spatial_axes)
+    # np.pad copies, so the root is taken in place.
+    s = np.pad(density.values, [(1, 1) if r == slice(None) else (0, 0) for r in region], mode="wrap")
+    np.sqrt(s, out=s)
+    op = sum(_second_difference(s, axis, density.spacing, "spacing") for axis in density.spatial_axes)
     if dt is not None:
-        op = _second_difference(s, region, 0, dt, "dt") / CONSTANTS.c**2 - op
-    return -coef * op / s[region]
+        op = _second_difference(s, 0, dt, "dt") / CONSTANTS.c**2 - op
+    out = np.full_like(density.values, np.nan)
+    out[region] = -coef * op / s[(slice(1, -1),) * s.ndim]
+    return out
 
 
 def vqu_grid_nonrel(density: GridDensity, mass: float) -> np.ndarray:
@@ -195,10 +198,8 @@ def vqu_grid_nonrel(density: GridDensity, mass: float) -> np.ndarray:
     """
     positive("mass", mass)
     if density.time_axis:
-        raise DomainError("density has a time axis; use vqu_grid_dalembert")
-    out = np.full_like(density.values, np.nan)
-    out[_region(density)] = _vqu_region(density, CONSTANTS.hbar**2 / (2.0 * mass))
-    return out
+        raise DomainError("density has a time axis; use the _dalembert form")
+    return _vqu_grid(density, CONSTANTS.hbar**2 / (2.0 * mass))
 
 
 def vqu_grid_dalembert(density: GridDensity, mass: float, dt: float) -> np.ndarray:
@@ -215,9 +216,7 @@ def vqu_grid_dalembert(density: GridDensity, mass: float, dt: float) -> np.ndarr
     if density.values.shape[0] < 3:
         raise DomainError("need at least 3 time slices")
     positive("dt", dt)
-    out = np.full_like(density.values, np.nan)
-    out[_region(density)] = _vqu_region(density, CONSTANTS.hbar**2 / mass, dt)
-    return out
+    return _vqu_grid(density, CONSTANTS.hbar**2 / mass, dt)
 
 
 def _integrate(arr: np.ndarray, axes: tuple[int, ...], h: float, periodic: bool) -> np.ndarray:
@@ -252,8 +251,6 @@ def mean_qp_energy(density: GridDensity, mass: float) -> float:
     first (it plays the role of a probability density), so the result for
     a mode with constant V_qu is that constant.
     """
-    if density.time_axis:
-        raise DomainError("density has a time axis; use mean_qp_energy_dalembert")
     return _region_mean(density, vqu_grid_nonrel(density, mass))
 
 
@@ -401,5 +398,5 @@ def read_density_csv(path: str) -> ParsedDensity:
     dt = steps.pop(0) if labels[0] == "t" else None
     if max(steps) - min(steps) > SPACING_RTOL * max(steps):
         raise DomainError(f"{path}: axes have unequal spacing; a single grid step is required")
-    density = GridDensity(table[:, -1].reshape(shape).copy(), steps[0], dims=len(steps), time_axis=dt is not None)
+    density = GridDensity(table[:, -1].reshape(shape).copy(), steps[0], time_axis=dt is not None)
     return ParsedDensity(density, dt, tuple(float(a[0]) for a in axes))

@@ -233,7 +233,6 @@ class _Workspace:
         self.normals = np.empty((rows, 2, modes))
         self.modes = np.empty((rows, modes), dtype=complex)
         self.power = np.empty((rows + 1, modes))
-        self.finite = np.empty((rows, grid_points), dtype=bool)
 
 
 def _mode_coefficients(z: np.ndarray, part_weights: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -388,8 +387,6 @@ def _field_blocks(
             coeff = _mode_coefficients(z, part_weights, work.modes[lo:hi])
             part = np.fft.irfft(coeff, n=n, axis=1, out=block[lo:hi])
             part *= amplitude
-            if not np.isfinite(part, out=work.finite[lo:hi]).all():
-                raise ConfigError("field values must be finite")
             return None if then is None else then(block, lo, hi)
 
         yield block, split.over_rows(block.shape[0], synthesize)

@@ -14,7 +14,8 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 import qvac
-from qvac import CONSTANTS, GridDensity, UnitMode, UnitSystem
+from qvac import CONSTANTS, GridDensity, SingularDensity, UnitMode, UnitSystem
+from qvac import qpotential as qp
 
 NATURAL = UnitSystem(UnitMode.NATURAL)
 
@@ -34,12 +35,37 @@ def cos2_density(wavelength: float, points: int, periodic: bool = True) -> tuple
     h = wavelength / points
     q = (np.arange(points) + 0.5) * h
     values = np.cos(2.0 * math.pi * q / wavelength) ** 2
-    return GridDensity(values, h, dims=1, periodic=periodic), q
+    return GridDensity(values, h, periodic=periodic), q
 
 
 def offnode_mask(q: np.ndarray, wavelength: float, h: float, margin: float = 1.6) -> np.ndarray:
     """Keep points whose difference stencil cannot straddle a density node."""
     return node_distance(q, wavelength) > margin * h
+
+
+def roll_stencil_vqu(density: GridDensity, mass: float, dt: float | None = None) -> np.ndarray:
+    """V_qu as a stencil of ``np.roll`` copies evaluates it: each neighbour
+    is the whole sqrt(n) grid rolled by one point and read on
+    ``qp._region``, with the kernel's operations in its order, NaN off the
+    region.  The nonrelativistic form without ``dt``, the wave-operator
+    form with it; raises SingularDensity as the kernel does."""
+    region = qp._region(density)
+    n = density.values[region]
+    bad = np.argwhere((n <= 0.0) | (n < qp.SINGULAR_FRACTION * float(density.values.max(initial=0.0))))
+    if bad.size:
+        raise SingularDensity(tuple(int(i) + (r.start or 0) for i, r in zip(bad[0], region)))
+    s = np.sqrt(density.values)
+
+    def second_difference(axis: int, h: float) -> np.ndarray:
+        return (np.roll(s, -1, axis)[region] - 2.0 * s[region] + np.roll(s, 1, axis)[region]) / h**2
+
+    op = sum(second_difference(axis, density.spacing) for axis in density.spatial_axes)
+    coef = CONSTANTS.hbar**2 / (2.0 * mass)
+    if dt is not None:
+        op, coef = second_difference(0, dt) / CONSTANTS.c**2 - op, CONSTANTS.hbar**2 / mass
+    out = np.full_like(density.values, np.nan)
+    out[region] = -coef * op / s[region]
+    return out
 
 
 class Traced(NamedTuple):

@@ -171,7 +171,7 @@ def test_criterion_06_photon_nullity():
     q = (np.arange(points) + 0.5) * h
     t = (np.arange(3) - 1) * dt
     phase = 2.0 * math.pi * (q[None, :] - C * t[:, None]) / wavelength
-    density = GridDensity(np.cos(phase) ** 2, h, dims=1, periodic=True, time_axis=True)
+    density = GridDensity(np.cos(phase) ** 2, h, periodic=True, time_axis=True)
     v = vqu_grid_dalembert(density, ELECTRON_MASS, dt)[1]
     static_magnitude = (HBAR**2 / ELECTRON_MASS) * (2.0 * math.pi / wavelength) ** 2
     ratio = float(np.max(np.abs(v))) / static_magnitude

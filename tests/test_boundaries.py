@@ -66,14 +66,14 @@ STATE = ThermalState(ELECTRON_MASS, 300.0)
     lambda: n_particle_weight(1e-6, 10**400, STATE),  # was OverflowError: int to float
     lambda: vqu_grid_nonrel(GridDensity(np.ones(8), 1e200), 1e-30),  # was OverflowError: spacing**2
     lambda: vqu_grid_dalembert(GridDensity(np.ones((3, 8)), 0.1, time_axis=True), 1e-30, 1e300),  # was OverflowError: dt**2
-    lambda: mean_qp_energy(GridDensity(np.ones((8, 8, 8)), 1e120, dims=3, periodic=True), 1e-30),  # was OverflowError: spacing**3
+    lambda: mean_qp_energy(GridDensity(np.ones((8, 8, 8)), 1e120, periodic=True), 1e-30),  # was OverflowError: spacing**3
     lambda: gravitational_radius(10**400),  # was OverflowError: int to float
     lambda: correlation_length(10**400, 1.0),  # was OverflowError: int to float
     lambda: vqu_grid_nonrel(GridDensity(np.linspace(1, 2, 8), 1e-200), 1e-30),  # was inf: spacing**2 underflows to 0
     lambda: vqu_grid_dalembert(GridDensity(np.ones((3, 8)), 0.1, time_axis=True), 1e-30, 1e-200),  # was nan: dt**2 is 0
     lambda: mean_energy(1.0, ThermalState(1e300, 300.0)),  # was nan: inf * exp(-inf)
     lambda: mean_energy(np.array([1.0, 2.0]), ThermalState(1e300, 300.0)),  # was [nan, nan]
-    lambda: mean_qp_energy(GridDensity(np.ones((8, 8, 8)), 1e120, dims=3), 1e-30),  # was 0.0: the trapezoid overflows
+    lambda: mean_qp_energy(GridDensity(np.ones((8, 8, 8)), 1e120), 1e-30),  # was 0.0: the trapezoid overflows
     lambda: vqu_grid_nonrel(GridDensity(np.linspace(1, 2, 8), 1e-160), 1e-30),  # was inf: spacing**2 is subnormal
     lambda: mean_qp_energy(GridDensity(np.linspace(1, 2, 8), 1e-160), 1e-30),  # was inf, likewise
     lambda: vqu_grid_dalembert(GridDensity(np.ones((3, 8)), 0.1, time_axis=True), 1e-30, 1e-160),  # dt**2 is subnormal

@@ -789,8 +789,10 @@ class TestBlackhole:
 
     @pytest.mark.parametrize("mass, reason", [
         ("inf", "finite"),
-        ("1e300", "outside the range"),  # vqu_printed underflows to 0
+        ("1e300", "outside the range"),  # e_grav leaves the double range
         ("1e-300", "outside the range"),  # vqu_printed overflows
+        ("1e106", "outside the range"),  # vqu_printed is subnormal: the pi^2 ratio check fails
+        ("1e120", "outside the range"),  # vqu_printed underflows to 0
     ])
     def test_unrepresentable_mass_exits_two(self, capsys, mass, reason):
         code, out, err = run_cli(capsys, "blackhole", mass)

@@ -96,6 +96,12 @@ class TestSpectrumType:
         jittered[7] += 1e-3
         with pytest.raises(DomainError):
             ModeSpectrum(jittered, np.ones(16))  # non-uniform
+        with pytest.raises(DomainError, match="1-D arrays of equal length"):
+            ModeSpectrum(k, np.ones(15))
+        with pytest.raises(DomainError, match="1-D arrays of equal length"):
+            ModeSpectrum(k.reshape(4, 4), np.ones((4, 4)))
+        with pytest.raises(DomainError, match="at least 2 samples"):
+            ModeSpectrum(np.zeros(1), np.ones(1))
 
 
 class TestTransform:
@@ -153,6 +159,8 @@ class TestTransform:
         spectrum = ModeSpectrum(k, gaussian_spectrum(k, lam_c))
         with pytest.raises(DomainError):
             correlation_from_spectrum(spectrum, np.linspace(0.0, lam_c, 8))
+        with pytest.raises(DomainError, match="identically zero"):
+            correlation_from_spectrum(ModeSpectrum(np.linspace(0.0, 1.0, 256), np.zeros(256)), np.linspace(0.0, 1.0, 8))
 
     def test_parseval(self):
         # pi * int S^2 dk == (int S dk)^2 * int G^2 dxi * 2 for the

@@ -24,7 +24,7 @@ from qvac import (
 
 from qvac.cli import main
 
-from helpers import NATURAL, cos2_density, offnode_mask, traced_peak
+from helpers import NATURAL, cos2_density, offnode_mask, roll_stencil_vqu, traced_peak
 
 HBAR = CONSTANTS.hbar
 C = CONSTANTS.c
@@ -76,7 +76,7 @@ class TestTraveling:
 
 class TestGridNonrel:
     def test_constant_density_gives_zero(self):
-        dens = GridDensity(np.full(32, 2.5), 0.1, dims=1, periodic=True)
+        dens = GridDensity(np.full(32, 2.5), 0.1, periodic=True)
         v = vqu_grid_nonrel(dens, ELECTRON_MASS)
         assert np.all(v == 0.0)
 
@@ -111,7 +111,7 @@ class TestGridNonrel:
         n_points = 481
         h = 12.0 * sigma / (n_points - 1)
         q = -6.0 * sigma + np.arange(n_points) * h
-        dens = GridDensity(np.exp(-(q**2) / (2.0 * sigma**2)), h, dims=1)
+        dens = GridDensity(np.exp(-(q**2) / (2.0 * sigma**2)), h)
         v = vqu_grid_nonrel(dens, ELECTRON_MASS)
         expected = HBAR**2 / (4.0 * ELECTRON_MASS * sigma**2)
         assert v[n_points // 2] == pytest.approx(expected, rel=1e-3)
@@ -122,10 +122,10 @@ class TestGridNonrel:
         h = 0.05
         q = np.arange(64) * h
         base = 1.5 + np.sin(2.0 * math.pi * q / (64 * h)) + 0.2 * np.cos(4.0 * math.pi * q / (64 * h))
-        v_ref = vqu_grid_nonrel(GridDensity(base, h, dims=1, periodic=True), ELECTRON_MASS)
+        v_ref = vqu_grid_nonrel(GridDensity(base, h, periodic=True), ELECTRON_MASS)
         scale = float(np.nanmax(np.abs(v_ref)))
         for alpha in 10.0 ** rng.uniform(-6, 6, size=5):
-            v = vqu_grid_nonrel(GridDensity(alpha * base, h, dims=1, periodic=True), ELECTRON_MASS)
+            v = vqu_grid_nonrel(GridDensity(alpha * base, h, periodic=True), ELECTRON_MASS)
             assert np.allclose(v, v_ref, rtol=1e-9, atol=1e-9 * scale)
 
     def test_mass_scaling(self):
@@ -142,7 +142,7 @@ class TestGridNonrel:
         q = (np.arange(points) + 0.5) * h
         cx = np.cos(2.0 * math.pi * q / lam) ** 2
         values = cx[:, None, None] * cx[None, :, None] * cx[None, None, :]
-        dens = GridDensity(values, h, dims=3, periodic=True)
+        dens = GridDensity(values, h, periodic=True)
         v = vqu_grid_nonrel(dens, ELECTRON_MASS)
         target = 3.0 * vqu_sinusoid(lam, ELECTRON_MASS)
         keep1 = offnode_mask(q, lam, h)
@@ -153,7 +153,7 @@ class TestGridNonrel:
         values = np.ones(16)
         values[7] = 0.0
         with pytest.raises(SingularDensity) as excinfo:
-            vqu_grid_nonrel(GridDensity(values, 0.1, dims=1), ELECTRON_MASS)
+            vqu_grid_nonrel(GridDensity(values, 0.1), ELECTRON_MASS)
         assert excinfo.value.index == (7,)
 
     @pytest.mark.parametrize("fraction, singular", [(1.01e-12, False), (0.99e-12, True)], ids=["above", "below"])
@@ -161,7 +161,7 @@ class TestGridNonrel:
         # A dip to just above or just below 1e-12 of the grid maximum.
         values = np.full(16, 4.0)
         values[7] = fraction * 4.0
-        dens = GridDensity(values, 0.1, dims=1)
+        dens = GridDensity(values, 0.1)
         if singular:
             with pytest.raises(SingularDensity) as excinfo:
                 vqu_grid_nonrel(dens, ELECTRON_MASS)
@@ -173,7 +173,7 @@ class TestGridNonrel:
         # a zero at a non-evaluated boundary point is allowed
         values = np.ones(16)
         values[0] = 0.0
-        v = vqu_grid_nonrel(GridDensity(values, 0.1, dims=1), ELECTRON_MASS)
+        v = vqu_grid_nonrel(GridDensity(values, 0.1), ELECTRON_MASS)
         assert np.isnan(v[0])
 
     def test_domain_errors(self):
@@ -181,9 +181,16 @@ class TestGridNonrel:
         with pytest.raises(DomainError):
             vqu_grid_nonrel(dens, 0.0)
         with pytest.raises(DomainError):
-            GridDensity(np.ones(4), 0.1, dims=1)  # too few samples
+            GridDensity(np.ones(4), 0.1)  # too few samples
         with pytest.raises(DomainError):
-            GridDensity(-np.ones(16), 0.1, dims=1)  # negative density
+            GridDensity(-np.ones(16), 0.1)  # negative density
+        for shape, time_axis in (((8, 8), False), ((3, 8, 8), True)):
+            with pytest.raises(DomainError, match="1 or 3 spatial axes.*got 2"):
+                GridDensity(np.ones(shape), 0.1, time_axis=time_axis)
+        spacetime = GridDensity(np.ones((3, 8)), 0.1, time_axis=True)
+        for call in (vqu_grid_nonrel, mean_qp_energy):
+            with pytest.raises(DomainError, match="_dalembert form"):
+                call(spacetime, ELECTRON_MASS)
 
 
 class TestGridDalembert:
@@ -197,12 +204,12 @@ class TestGridDalembert:
         t = (np.arange(slices) - slices // 2) * dt
         phase = 2.0 * math.pi * (q[None, :] - velocity * t[:, None]) / self.lam
         values = np.cos(phase) ** 2
-        dens = GridDensity(values, h, dims=1, periodic=True, time_axis=True)
+        dens = GridDensity(values, h, periodic=True, time_axis=True)
         return dens, dt, q
 
     def test_constant_density_gives_zero(self):
         values = np.full((3, 32), 1.3)
-        dens = GridDensity(values, 0.1, dims=1, periodic=True, time_axis=True)
+        dens = GridDensity(values, 0.1, periodic=True, time_axis=True)
         v = vqu_grid_dalembert(dens, self.mass, 1e-3)
         assert np.all(v[1] == 0.0)
         assert np.all(np.isnan(v[0])) and np.all(np.isnan(v[2]))
@@ -230,7 +237,7 @@ class TestGridDalembert:
 
     def test_requires_three_time_slices(self):
         values = np.ones((2, 32))
-        dens = GridDensity(values, 0.1, dims=1, periodic=True, time_axis=True)
+        dens = GridDensity(values, 0.1, periodic=True, time_axis=True)
         with pytest.raises(DomainError):
             vqu_grid_dalembert(dens, self.mass, 1e-3)
 
@@ -289,7 +296,7 @@ class TestEvaluatedRegion:
         values = np.ones((9, 10, 11))
         values[1, 0, 5] = values[3, 4, 2] = 0.0
         with pytest.raises(SingularDensity) as excinfo:
-            vqu_grid_nonrel(GridDensity(values, 0.1, dims=3, periodic=periodic), ELECTRON_MASS)
+            vqu_grid_nonrel(GridDensity(values, 0.1, periodic=periodic), ELECTRON_MASS)
         assert excinfo.value.index == expected
 
     @pytest.mark.parametrize("periodic, expected", [(False, (3, 6)), (True, (2, 0))])
@@ -297,7 +304,7 @@ class TestEvaluatedRegion:
         values = np.ones((5, 12))
         for point in ((0, 5), (2, 0), (3, 6), (4, 3)):
             values[point] = 0.0
-        dens = GridDensity(values, 0.1, dims=1, periodic=periodic, time_axis=True)
+        dens = GridDensity(values, 0.1, periodic=periodic, time_axis=True)
         with pytest.raises(SingularDensity) as excinfo:
             vqu_grid_dalembert(dens, ELECTRON_MASS, 1e-3)
         assert excinfo.value.index == expected
@@ -319,7 +326,8 @@ class TestEvaluatedRegion:
     @pytest.mark.parametrize("shape, dims, time_axis", LAYOUTS)
     def test_nan_exactly_off_the_region(self, shape, dims, time_axis, periodic):
         values = np.random.default_rng(0).uniform(0.5, 1.5, shape)
-        dens = GridDensity(values, 0.1, dims=dims, periodic=periodic, time_axis=time_axis)
+        dens = GridDensity(values, 0.1, periodic=periodic, time_axis=time_axis)
+        assert dens.dims == dims
         if time_axis:
             v = vqu_grid_dalembert(dens, ELECTRON_MASS, 1e-3)
         else:
@@ -332,14 +340,66 @@ class TestEvaluatedRegion:
     @pytest.mark.parametrize("shape, dims", [((7, 40), 1), ((4, 8, 9, 10), 3)])
     def test_spacetime_mean_equals_the_per_slice_loop(self, shape, dims, periodic):
         values = np.random.default_rng(1).uniform(0.5, 1.5, shape)
-        dens = GridDensity(values, 0.1, dims=dims, periodic=periodic, time_axis=True)
+        dens = GridDensity(values, 0.1, periodic=periodic, time_axis=True)
+        assert dens.dims == dims
         vqu = vqu_grid_dalembert(dens, ELECTRON_MASS, 1e-3)
         assert mean_qp_energy_dalembert(dens, ELECTRON_MASS, 1e-3) == _loop_mean(dens, vqu)
 
 
+class TestWrappedStencil:
+    """The stencil reads both neighbours on every axis from one copy of
+    sqrt(n), wrapped by a point on each periodic spatial axis; it matches
+    a stencil of ``np.roll`` copies bit for bit and holds fewer grids."""
+
+    LAYOUTS = [((40,), False), ((9, 10, 11), False), ((5, 12), True), ((4, 8, 9, 10), True)]
+    MASS, DT = ELECTRON_MASS, 1e-3
+
+    def _kernel(self, dens):
+        if dens.time_axis:
+            return vqu_grid_dalembert(dens, self.MASS, self.DT), mean_qp_energy_dalembert(dens, self.MASS, self.DT)
+        return vqu_grid_nonrel(dens, self.MASS), mean_qp_energy(dens, self.MASS)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    @pytest.mark.parametrize("shape, time_axis", LAYOUTS)
+    def test_equals_the_roll_stencil(self, shape, time_axis, periodic):
+        rng = np.random.default_rng(sum(shape))
+        values = rng.uniform(0.5, 1.5, shape)
+        dens = GridDensity(values, 0.1, periodic=periodic, time_axis=time_axis)
+        dt = self.DT if time_axis else None
+        vqu, mean = self._kernel(dens)
+        expected = roll_stencil_vqu(dens, self.MASS, dt)
+        assert vqu.tobytes() == expected.tobytes()
+        assert mean.hex() == qp._region_mean(dens, expected).hex()
+        # A node on the grid's first point (off the region unless periodic
+        # in space only) and one at a random point.
+        values[(0,) * len(shape)] = values[tuple(int(rng.integers(1, n - 1)) for n in shape)] = 0.0
+        dens = GridDensity(values, 0.1, periodic=periodic, time_axis=time_axis)
+        with pytest.raises(SingularDensity) as reference:
+            roll_stencil_vqu(dens, self.MASS, dt)
+        with pytest.raises(SingularDensity) as actual:
+            self._kernel(dens)
+        assert actual.value.index == reference.value.index
+
+    @pytest.mark.parametrize("shape, time_axis", [((64, 64, 64), False), ((128, 1024), True)], ids=["lattice", "spacetime"])
+    def test_kernel_peak_is_bounded(self, shape, time_axis):
+        # The wrapped root, the Laplacian, a difference's temporaries and
+        # the output: 4.25 grids on the lattice, 4.16 on the spacetime grid
+        # (a stencil of np.roll copies peaked at 6.13 and 6.08).
+        values = np.random.default_rng(900).uniform(0.5, 1.5, shape)
+        dens = GridDensity(values, 0.1, periodic=True, time_axis=time_axis)
+        if time_axis:
+            calls = [lambda: vqu_grid_dalembert(dens, self.MASS, self.DT),
+                     lambda: mean_qp_energy_dalembert(dens, self.MASS, self.DT)]
+        else:
+            calls = [lambda: vqu_grid_nonrel(dens, self.MASS), lambda: mean_qp_energy(dens, self.MASS)]
+        for call in calls:
+            grids = traced_peak(call).peak / values.nbytes
+            assert grids <= 4.75, grids
+
+
 class TestMeanEnergy:
     def test_constant_density_zero(self):
-        dens = GridDensity(np.full(64, 0.7), 0.1, dims=1, periodic=True)
+        dens = GridDensity(np.full(64, 0.7), 0.1, periodic=True)
         assert mean_qp_energy(dens, ELECTRON_MASS) == 0.0
 
     def test_cos2_mode_periodic(self):
@@ -359,7 +419,7 @@ class TestMeanEnergy:
         h = 12.0 * sigma / (n_points - 1)
         q = -6.0 * sigma + np.arange(n_points) * h
         n = np.exp(-(q**2) / (2.0 * sigma**2))
-        dens = GridDensity(n, h, dims=1)
+        dens = GridDensity(n, h)
         expected = HBAR**2 / (8.0 * ELECTRON_MASS * sigma**2)
         got = mean_qp_energy(dens, ELECTRON_MASS)
         assert got == pytest.approx(expected, rel=1e-3)
@@ -377,7 +437,7 @@ class TestMeanEnergy:
         h = lam / points
         q = (np.arange(points) + 0.5) * h
         values = np.repeat((np.cos(2.0 * math.pi * q / lam) ** 2)[None, :], 3, axis=0)
-        dens = GridDensity(values, h, dims=1, periodic=True, time_axis=True)
+        dens = GridDensity(values, h, periodic=True, time_axis=True)
         got = mean_qp_energy_dalembert(dens, ELECTRON_MASS, h / C)
         expected = -2.0 * vqu_sinusoid(lam, ELECTRON_MASS)
         assert got == pytest.approx(expected, rel=2e-2)

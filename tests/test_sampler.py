@@ -255,6 +255,8 @@ class TestReport:
     def test_noisefield_promotes_single_realization(self):
         field = NoiseField(values=np.zeros(512), extent=40.0 * LC, lambda_c=LC, seed=0)
         assert field.values.shape == (1, 512)
+        with pytest.raises(ConfigError, match="field values must be finite"):
+            NoiseField(values=np.full(512, np.nan), extent=40.0 * LC, lambda_c=LC, seed=0)
 
 
 def reference_field(cfg: SamplerConfig) -> np.ndarray:
@@ -548,8 +550,9 @@ class TestRowSplit:
         serial, split = split_runs(monkeypatch, lambda: report_json_bytes(build_sample_report(cfg, field)))
         assert split == serial == report_json_bytes(sample_report(cfg))
 
-    @pytest.mark.parametrize("fault, error", [("non-finite", ConfigError), ("raise", KeyError)])
-    def test_helper_failure_reaches_the_caller(self, monkeypatch, capsys, fault, error):
+    @pytest.mark.parametrize("error", [pytest.param(ConfigError, id="config-ConfigError"),
+                                       pytest.param(KeyError, id="raise-KeyError")])
+    def test_helper_failure_reaches_the_caller(self, monkeypatch, capsys, error):
         # Only the helper's range fails; a thread's uncaught exception would
         # go to threading.excepthook (stderr) and the call would return.
         caller = threading.current_thread()
@@ -558,9 +561,7 @@ class TestRowSplit:
         def helper_fails(z, part_weights, out):
             coefficients(z, part_weights, out)
             if threading.current_thread() is not caller:
-                if fault == "raise":
-                    raise KeyError("helper")
-                out[:] = np.nan
+                raise error("helper")
             return out
 
         monkeypatch.setattr(sampler, "_mode_coefficients", helper_fails)
@@ -572,8 +573,8 @@ class TestRowSplit:
         assert capsys.readouterr().err == ""
 
     def test_helper_is_joined_after_a_mid_call_error(self, monkeypatch, capsys):
-        # The caller's range of the second block is not finite: the call
-        # fails between blocks, with the helper idle and waiting for work.
+        # The caller's range of the second block fails: the call fails
+        # between blocks, with the helper idle and waiting for work.
         caller = threading.current_thread()
         coefficients = sampler._mode_coefficients
         caller_blocks = []
@@ -583,14 +584,14 @@ class TestRowSplit:
             if threading.current_thread() is caller:
                 caller_blocks.append(len(z))
                 if len(caller_blocks) == 2:
-                    out[:] = np.nan
+                    raise ConfigError("second block")
             return out
 
         monkeypatch.setattr(sampler, "_mode_coefficients", second_block_fails)
         monkeypatch.setattr(sampler, "_row_workers", lambda: 2)
         started = count_thread_starts(monkeypatch)
         threads = threading.active_count()
-        with pytest.raises(ConfigError, match="finite"):
+        with pytest.raises(ConfigError, match="second block"):
             sample_report(make_config(**MULTI_BLOCK))
         assert len(caller_blocks) == 2
         assert len(started) == 1 and not started[0].is_alive()
