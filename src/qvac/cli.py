@@ -28,31 +28,12 @@ import sys
 from typing import Sequence
 
 from .constants import CONSTANTS, ThermalState, UnitSystem, compton_wavenumber
-from .errors import (
-    ConfigError,
-    DomainError,
-    ImaginaryEnergy,
-    InsufficientTail,
-    SingularDensity,
-    WrongBranch,
-    finite,
-    positive,
-)
+from .errors import DomainError, finite, positive
 
 _FLOAT_FMT = "%.16e"
 
 #: Rows per rendered and written block of a CSV table.
 RENDER_ROWS = 2**16
-
-_HANDLED_ERRORS = (
-    DomainError,
-    ConfigError,
-    SingularDensity,
-    ImaginaryEnergy,
-    WrongBranch,
-    InsufficientTail,
-    OSError,
-)
 
 
 class _UsageError(Exception):
@@ -480,7 +461,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _HANDLED_ERRORS as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # an array the request sizes, e.g. --points 10**15

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import DomainError, InsufficientTail, positive
+from .errors import DomainError, InsufficientTail, _owned_readonly, positive
 
 #: The transform refuses spectra whose weight at the largest tabulated
 #: wavenumber exceeds this fraction of the spectrum maximum.
@@ -55,8 +55,8 @@ class ModeSpectrum:
     s_values: np.ndarray
 
     def __post_init__(self):
-        k = np.asarray(self.k_grid, dtype=float)
-        s = np.asarray(self.s_values, dtype=float)
+        k = _owned_readonly(self.k_grid)
+        s = _owned_readonly(self.s_values)
         object.__setattr__(self, "k_grid", k)
         object.__setattr__(self, "s_values", s)
         if k.ndim != 1 or s.shape != k.shape:
@@ -120,7 +120,9 @@ def gaussian_mode_spectrum(lambda_c: float, points: int = DEFAULT_SPECTRUM_POINT
     is ~2e-16 and the transform tail bound holds."""
     positive("lambda_c", lambda_c)
     k = np.linspace(0.0, DEFAULT_KMAX_LC / lambda_c, points)
-    return ModeSpectrum(k, gaussian_spectrum(k, lambda_c))
+    s = gaussian_spectrum(k, lambda_c)
+    s.flags.writeable = False  # kept as it is; k, a view np.linspace returns, is copied
+    return ModeSpectrum(k, s)
 
 
 def e_folding_lag(xi_grid: np.ndarray, g_values: np.ndarray) -> float:

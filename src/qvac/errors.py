@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and the two input guards
-that raise DomainError.
+"""Exception types shared across the package, the two input guards that
+raise DomainError, and the array guard of the validated value types.
 
-All of these derive from ValueError so that callers who do not care about
-the fine-grained taxonomy can catch a single built-in type.
+Every error that qvac raises on purpose is a DomainError, and so a
+ValueError: one ``except DomainError`` catches them all, and the CLI exits
+2 on exactly these and OSError.  The specific types below subclass it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from typing import Callable
 
 
 class DomainError(ValueError):
-    """An input lies outside the mathematical domain of an operation."""
+    """An input lies outside the mathematical domain of an operation.
+
+    The base of every error qvac raises on purpose; the CLI turns each
+    into exit 2 with one ``error:`` line."""
 
 
 def positive(name: str, value):
@@ -38,7 +42,20 @@ def finite(name: str, formula: Callable[[], float]) -> float:
     return value
 
 
-class SingularDensity(ValueError):
+def _owned_readonly(values):
+    """``values`` as a read-only float64 array that owns its data: itself
+    when it already is one, else a copy, so that a value type checks, and
+    keeps, an array no caller can write to."""
+    import numpy as np  # each caller has loaded it; start-up has not
+
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        values = np.array(values, dtype=np.float64)
+        values.flags.writeable = False
+    return values
+
+
+class SingularDensity(DomainError):
     """The density vanishes (or nearly vanishes) at an evaluation point.
 
     The quantum potential diverges at density nodes; rather than returning
@@ -52,7 +69,7 @@ class SingularDensity(ValueError):
         super().__init__(f"density is singular (below threshold) at grid point {self.index}")
 
 
-class ImaginaryEnergy(ValueError):
+class ImaginaryEnergy(DomainError):
     """A massive mode was requested beyond the wavelength where its energy
     formula turns imaginary.  ``lambda_crit`` is the critical wavelength
     2*pi*hbar/(m*c); only wavelengths strictly above it are valid.
@@ -68,16 +85,16 @@ class ImaginaryEnergy(ValueError):
         )
 
 
-class WrongBranch(ValueError):
+class WrongBranch(DomainError):
     """A massive-branch operation was called with zero mass; the photon
     operations handle that case."""
 
 
-class InsufficientTail(ValueError):
+class InsufficientTail(DomainError):
     """A tabulated spectrum has not decayed enough at its largest wavenumber
     for the correlation transform to be trustworthy."""
 
 
-class ConfigError(ValueError):
+class ConfigError(DomainError):
     """A sampler configuration violates one of its invariants; the message
     names the violated invariant."""

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import DomainError, SingularDensity, finite, positive
+from .errors import DomainError, SingularDensity, _owned_readonly, finite, positive
 
 #: Evaluation points with zero density, or density below this fraction of
 #: the grid maximum, are treated as nodes (where V_qu genuinely diverges).
@@ -71,7 +71,7 @@ class GridDensity:
     time_axis: bool = False
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = _owned_readonly(self.values)
         object.__setattr__(self, "values", arr)
         if self.dims not in (1, 3):
             raise DomainError(f"values must have 1 or 3 spatial axes (time_axis={self.time_axis}); got {self.dims}")
@@ -398,5 +398,5 @@ def read_density_csv(path: str) -> ParsedDensity:
     dt = steps.pop(0) if labels[0] == "t" else None
     if max(steps) - min(steps) > SPACING_RTOL * max(steps):
         raise DomainError(f"{path}: axes have unequal spacing; a single grid step is required")
-    density = GridDensity(table[:, -1].reshape(shape).copy(), steps[0], time_axis=dt is not None)
+    density = GridDensity(_owned_readonly(table[:, -1].reshape(shape)), steps[0], time_axis=dt is not None)
     return ParsedDensity(density, dt, tuple(float(a[0]) for a in axes))

@@ -53,13 +53,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .correlation import CorrelationFunction, e_folding_lag, gaussian_spectrum
-from .errors import ConfigError
+from .errors import ConfigError, _owned_readonly
 
 #: Periodic-wraparound guard: the domain must span at least this many
 #: correlation lengths (the Gaussian correlation at lag 20*lambda_c is
@@ -128,13 +128,7 @@ class SamplerConfig:
         return self.extent / self.grid_points
 
     def as_dict(self) -> dict:
-        return {
-            "grid_points": self.grid_points,
-            "extent": self.extent,
-            "lambda_c": self.lambda_c,
-            "seed": self.seed,
-            "realizations": self.realizations,
-        }
+        return asdict(self)
 
 
 def _config_int(path: str, raw: dict, name: str, default: int) -> int:
@@ -177,8 +171,7 @@ def load_config(path: str) -> SamplerConfig:
         raise ConfigError(f"{path}: config must be a JSON object")
     if "lambda_c" not in raw:
         raise ConfigError(f"{path}: config requires lambda_c")
-    known = {"grid_points", "extent", "lambda_c", "seed", "realizations"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {field.name for field in fields(SamplerConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
     lambda_c = _config_float(path, raw, "lambda_c")
@@ -207,8 +200,7 @@ class NoiseField:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[np.newaxis, :]
+        arr = _owned_readonly(arr[np.newaxis, :] if arr.ndim == 1 else arr)
         object.__setattr__(self, "values", arr)
         if not np.all(np.isfinite(arr)):
             raise ConfigError("field values must be finite")
@@ -404,6 +396,7 @@ def sample_field(config: SamplerConfig) -> NoiseField:
         for block, _ in _field_blocks(config, work, split):
             values[start : start + len(block)] = block
             start += len(block)
+    values.flags.writeable = False
     return NoiseField(values=values, extent=config.extent, lambda_c=config.lambda_c, seed=config.seed)
 
 
@@ -545,20 +538,9 @@ class GaussianityReport:
     degenerate: bool = False
 
     def as_dict(self) -> dict:
-        def _json_safe(value: float):
-            return value if math.isfinite(value) else None
-
-        return {
-            "sample_count": self.sample_count,
-            "skewness": _json_safe(self.skewness),
-            "excess_kurtosis": _json_safe(self.excess_kurtosis),
-            "effective_samples_skew": _json_safe(self.effective_samples_skew),
-            "effective_samples_kurt": _json_safe(self.effective_samples_kurt),
-            "skew_threshold": _json_safe(self.skew_threshold),
-            "kurt_threshold": _json_safe(self.kurt_threshold),
-            "passed": self.passed,
-            "degenerate": self.degenerate,
-        }
+        """The fields in order, a non-finite float as None (null in JSON)."""
+        return {name: None if isinstance(value, float) and not math.isfinite(value) else value
+                for name, value in asdict(self).items()}
 
 
 def _gaussianity(acc: _Accumulator) -> GaussianityReport:

@@ -19,7 +19,7 @@ from qvac import (
     vqu_grid_dalembert,
     vqu_grid_nonrel,
 )
-from qvac import cli
+from qvac import cli, errors
 from qvac import qpotential as qp
 from qvac import sampler as smp
 from qvac.cli import RENDER_ROWS, main
@@ -30,6 +30,14 @@ from helpers import loaded_modules, traced_peak
 KB = CONSTANTS.k_boltzmann
 HBAR = CONSTANTS.hbar
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+#: Every exception class ``qvac.errors`` defines.
+ERROR_TYPES = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == errors.__name__]
+
+#: Constructor arguments of the error types that take more than a message.
+ERROR_ARGS = {errors.SingularDensity: ((2, 3),), errors.ImaginaryEnergy: (2.0, 1.0)}
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +95,27 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "photon-spectrum", "--temp", "-4")
         assert code == 2
         assert "temp" in err
+
+    @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda error: error.__name__)
+    def test_every_qvac_error_exits_two(self, capsys, monkeypatch, error):
+        assert issubclass(error, errors.DomainError)
+        exc = error(*ERROR_ARGS.get(error, ("a fault",)))
+        self._handler_raises(monkeypatch, exc)
+        assert run_cli(capsys, "blackhole", "1.0") == (2, "", f"error: {exc}\n")
+
+    def test_plain_value_error_is_not_caught(self, capsys, monkeypatch):
+        self._handler_raises(monkeypatch, ValueError("not a qvac error"))
+        with pytest.raises(ValueError, match="not a qvac error"):
+            main(["blackhole", "1.0"])
+
+    @staticmethod
+    def _handler_raises(monkeypatch, exc):
+        """``qvac blackhole`` raises ``exc``, on a parser built for the test."""
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_blackhole", handler)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
 
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "qpot", "/nonexistent/d.csv", "--mass", "1")
@@ -275,6 +304,9 @@ class TestPhotonSpectrum:
         comments, _, rows = parse_csv(out)
         assert len(rows) == 1
         assert not any("peak_omega" in c for c in comments)
+        # two points are the fewest that have one
+        comments, _, _ = parse_csv(run_cli(capsys, "photon-spectrum", "--temp", "300", "--points", "2")[1])
+        assert any("peak_omega" in c for c in comments)
 
     def test_json_footer(self, capsys):
         code, out, _ = run_cli(capsys, "photon-spectrum", "--temp", "300", "--points", "16", "--format", "json")

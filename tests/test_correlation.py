@@ -102,6 +102,20 @@ class TestSpectrumType:
             ModeSpectrum(k.reshape(4, 4), np.ones((4, 4)))
         with pytest.raises(DomainError, match="at least 2 samples"):
             ModeSpectrum(np.zeros(1), np.ones(1))
+        assert ModeSpectrum(np.array([0.0, 1.0]), np.ones(2)).k_grid.size == 2
+
+    def test_spectrum_keeps_read_only_copies(self):
+        k, s = np.linspace(0.0, 1.0, 16), np.ones(16)
+        spectrum = ModeSpectrum(k, s)
+        s[:] = 0.0
+        k[:] = 0.0
+        assert np.all(spectrum.s_values == 1.0) and spectrum.k_grid[-1] == 1.0
+        for stored in (spectrum.k_grid, spectrum.s_values):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 2.0
+        # The weights gaussian_mode_spectrum builds are read-only already, and kept as they are.
+        weights = gaussian_mode_spectrum(1e-9).s_values
+        assert not weights.flags.writeable and weights.flags.owndata
 
 
 class TestTransform:

@@ -11,9 +11,9 @@ after a deliberate output change, run
     PYTHONPATH=src python tests/test_golden.py [CASE ...]
 
 from the repository root: it re-runs the named cases (all of them when
-none is named; an unknown name is refused), rewrites only the golden files
-whose bytes differ and prints ``<case>: changed`` or ``<case>: unchanged``
-for each.
+none is named; an unknown name is refused), writes only the golden files
+that are missing or whose bytes differ and prints ``<case>: changed`` or
+``<case>: unchanged`` for each.
 """
 
 import math
@@ -61,6 +61,8 @@ CASES = {
     "photon_natural.json": ["photon-spectrum", "--temp", "0.01", "--points", "8", "--units", "Natural",
                             "--format", "json"],
     "correlation_si.csv": ["correlation", "--mass", ELECTRON, "--temp", "300", "--points", "16"],
+    # 512 lags: the uniform-lag kernel's window cap binds (h = 15)
+    "correlation_long.csv": ["correlation", "--mass", ELECTRON, "--temp", "300", "--points", "512"],
     "correlation_natural.json": ["correlation", "--mass", "1e-22", "--temp", "1e-30", "--points", "8",
                                  "--units", "Natural", "--format", "json"],
     "blackhole_report.txt": ["blackhole", "1.0"],
@@ -94,8 +96,8 @@ def test_percent_format_matches_str_format(x):
 
 
 def recapture(names: Sequence[str]) -> list[str]:
-    """Re-run the named cases (every case when none is named), overwrite
-    each golden file whose bytes differ and return one
+    """Re-run the named cases (every case when none is named), write each
+    golden file that is missing or whose bytes differ and return one
     ``<case>: changed|unchanged`` line per case."""
     unknown = sorted(set(names) - set(CASES))
     if unknown:
@@ -107,7 +109,7 @@ def recapture(names: Sequence[str]) -> list[str]:
             if main(_argv(case, out, Path(scratch))) != 0:
                 raise RuntimeError(f"capture failed: {case}")
             new = out.read_bytes()
-            changed = new != (GOLDEN / case).read_bytes()
+            changed = not (GOLDEN / case).exists() or new != (GOLDEN / case).read_bytes()
             if changed:
                 (GOLDEN / case).write_bytes(new)
             lines.append(f"{case}: {'changed' if changed else 'unchanged'}")

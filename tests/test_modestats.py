@@ -428,6 +428,9 @@ class TestBoseArrayPath:
         x = np.array([np.nextafter(self.CUT, 0.0), self.CUT, np.nextafter(self.CUT, np.inf)])
         got = modestats._bose(e, x)
         assert got.tolist() == [1.0 / math.expm1(x[0]), 1.0 / math.expm1(x[1]), math.exp(-x[2])]
+        # The Boltzmann weight keeps exp(-x) up to the cutoff itself, and is 0.0 past it.
+        weights = [modestats._boltzmann(float(v)) for v in x]
+        assert weights == [math.exp(-float(x[0])), math.exp(-700.0), 0.0]
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_domain_error_is_the_scalar_one(self, bad):
@@ -493,6 +496,12 @@ class TestArrayEvaluation:
             photon_mean_energy(1e14, 300.0),
             planck_spectral_density(1e14, 300.0),
             *vars(spectral_density_massive(0.5 * K_COMPTON_E, state)).values(),
+            # 0-d arrays: np.float64 above is a float subclass, these are not
+            mode_energy_massive(np.array(lam), state),
+            mean_energy(np.array(lam), state),
+            mode_density(np.array(2.0)),
+            photon_mean_energy(np.array(1e14), 300.0),
+            planck_spectral_density(np.array(1e14), 300.0),
         ):
             assert type(value) is float
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import warnings
@@ -521,6 +522,19 @@ class TestCsvIngestion:
         values = parsed.density.values
         assert values.flags.c_contiguous and values.base is None
         assert kept <= values.nbytes + 64 * 1024, (kept, values.nbytes)
+
+    def test_density_keeps_a_read_only_copy(self, tmp_path):
+        source = np.ones(16)
+        density = GridDensity(source, 0.1)
+        source[3] = -1.0
+        assert density.values[3] == 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            density.values[3] = -1.0
+        # A grid read from a file is read-only already: a replace keeps the same array.
+        lines = ["q,n"] + [f"{0.125 * i},1.0" for i in range(16)]
+        parsed = read_density_csv(self._write(tmp_path, "d.csv", "\n".join(lines) + "\n"))
+        assert not parsed.density.values.flags.writeable
+        assert dataclasses.replace(parsed.density, periodic=True).values is parsed.density.values
 
     def test_unknown_header_rejected(self, tmp_path):
         with pytest.raises(DomainError, match="header"):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -9,6 +10,7 @@ import pytest
 
 from qvac import (
     ConfigError,
+    GaussianityReport,
     NoiseField,
     SamplerConfig,
     build_sample_report,
@@ -198,6 +200,17 @@ class TestGaussianity:
         assert report.as_dict()["skew_threshold"] is None
         assert report.as_dict()["effective_samples_kurt"] is None
 
+    def test_skewness_at_its_threshold_fails(self):
+        # Unit variance and a white periodogram; the skewness is m3 / n.
+        acc = sampler._Accumulator(_Workspace(256, 1))
+        acc.power_sum[:] = 1.0
+        acc.rows, acc.count, acc.m2, acc.m4 = 1, 4096, 4096.0, 3.0 * 4096
+        threshold = sampler._gaussianity(acc).skew_threshold
+        for skewness, passed in ((np.nextafter(threshold, 0.0), True), (threshold, False)):
+            acc.m3 = skewness * 4096
+            report = sampler._gaussianity(acc)
+            assert (report.skewness, report.passed) == (skewness, passed)
+
     def test_thresholds_use_effective_sample_counts(self):
         cfg = make_config(grid_points=256, extent=25.6 * LC, seed=4, realizations=16)
         field = sample_field(cfg)
@@ -251,6 +264,31 @@ class TestReport:
         doc = json.loads(first)
         assert set(doc) == {"config", "correlation", "gaussianity", "pass"}
         assert doc["config"]["seed"] == 9
+
+    def test_records_serialize_their_fields_in_order(self):
+        cfg = make_config(grid_points=256, extent=24.0 * LC, realizations=4, seed=9)
+        assert list(cfg.as_dict()) == [field.name for field in dataclasses.fields(SamplerConfig)]
+        assert cfg.as_dict() == {"grid_points": 256, "extent": 24.0 * LC, "lambda_c": LC, "seed": 9,
+                                 "realizations": 4}
+        report = gaussianity_check(sample_field(cfg))
+        assert list(report.as_dict()) == [field.name for field in dataclasses.fields(GaussianityReport)]
+        assert report.as_dict()["skewness"] == report.skewness
+        degenerate = gaussianity_check(NoiseField(values=np.ones((4, 1024)), extent=40.0 * LC, lambda_c=LC, seed=0))
+        assert degenerate.as_dict() == {
+            "sample_count": 4096, "skewness": None, "excess_kurtosis": None, "effective_samples_skew": None,
+            "effective_samples_kurt": None, "skew_threshold": None, "kurt_threshold": None, "passed": False,
+            "degenerate": True}
+
+    def test_noisefield_keeps_a_read_only_copy(self):
+        source = np.zeros((2, 256))
+        field = NoiseField(values=source, extent=24.0 * LC, lambda_c=LC, seed=0)
+        source[0, 0] = np.nan
+        assert field.values[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            field.values[0, 0] = np.nan
+        # A sampled field is read-only already, and kept as it is.
+        values = sample_field(make_config(grid_points=256, extent=24.0 * LC, realizations=2)).values
+        assert not values.flags.writeable and values.flags.owndata
 
     def test_noisefield_promotes_single_realization(self):
         field = NoiseField(values=np.zeros(512), extent=40.0 * LC, lambda_c=LC, seed=0)
